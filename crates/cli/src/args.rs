@@ -75,6 +75,23 @@ impl Args {
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
+
+    /// Fails on the first option or flag (in name order) that is not in
+    /// `accepted`, so a mistyped or retired flag is an error rather than
+    /// silently ignored.
+    pub fn reject_unknown(&self, accepted: &[&str]) -> Result<(), String> {
+        let mut given: Vec<&str> = self
+            .opts
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .collect();
+        given.sort_unstable();
+        match given.into_iter().find(|k| !accepted.contains(k)) {
+            Some(k) => Err(format!("unknown option --{k}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +161,16 @@ mod tests {
     fn require_reports_missing() {
         let a = parse(&[]);
         assert!(a.require("tree").is_err());
+    }
+
+    #[test]
+    fn reject_unknown_names_the_first_stray_key() {
+        let a = parse(&["--trees", "t.psjt", "--lenient", "--workers=2"]);
+        assert!(a.reject_unknown(&["trees", "lenient", "workers"]).is_ok());
+        let e = parse(&["--trees", "t.psjt", "--zeta", "1", "--beta"])
+            .reject_unknown(&["trees"])
+            .unwrap_err();
+        assert_eq!(e, "unknown option --beta");
     }
 
     #[test]

@@ -45,14 +45,17 @@ commands:
   simulate --tree1 <tree> --tree2 <tree> [--procs <n>] [--disks <n>]
            [--buffer <pages>] [--variant lsr|gsrr|gd|best]
   serve    --trees <tree>[,<tree>...] [--addr 127.0.0.1:7878] [--workers <n>]
-           [--queue-bound <n>] [--batch-window-us <us>] [--max-batch <n>]
-           [--cache <pages>] [--cache-shards <n>] [--join-threads <n>]
+           [--queue-bound <n>] [--cache <pages>] [--cache-shards <n>]
+           [--join-threads <n>]
            [--join-morsel-cands <n>] [--join-steal busiest|rr|seeded]
            [--join-steal-seed <n>] [--join-engine rtree|partition|auto]
            [--lenient] [--inject-faults <spec>] [--retry-attempts <n>]
-           [--trace <file.jsonl>] [--shard-id <n>] — --trace writes the
+           [--trace <file.jsonl>] [--shard-id <n>] — a free worker takes
+           every query queued for the same tree as one batch (no batching
+           knob: no query waits for batch-mates); --trace writes the
            trace at shutdown; the --join-* tuning flags mirror `join`'s
-           flags exactly; --shard-id tags this server for cluster routing
+           flags exactly; --shard-id tags this server for cluster routing;
+           any other option is an error
   shard-plan --map1 <map> --map2 <map> --shards <n> --out <dir>
            [--host <ip>] [--base-port <n>] — partition both maps into x-slab
            shards balanced by estimated join work; writes per-shard tree
@@ -430,8 +433,29 @@ pub fn fsck(args: &Args) -> CmdResult {
     }
 }
 
+/// Every option and flag `psj serve` accepts.
+const SERVE_KEYS: &[&str] = &[
+    "trees",
+    "lenient",
+    "addr",
+    "workers",
+    "queue-bound",
+    "cache",
+    "cache-shards",
+    "join-threads",
+    "join-morsel-cands",
+    "join-steal",
+    "join-steal-seed",
+    "join-engine",
+    "inject-faults",
+    "retry-attempts",
+    "trace",
+    "shard-id",
+];
+
 /// `psj serve` — run the query service until a client sends Shutdown.
 pub fn serve(args: &Args) -> CmdResult {
+    args.reject_unknown(SERVE_KEYS)?;
     let tree_list = args.require("trees")?;
     let lenient = args.flag("lenient");
     let mut trees = Vec::new();
@@ -467,8 +491,6 @@ pub fn serve(args: &Args) -> CmdResult {
                 .unwrap_or(4),
         )?,
         queue_bound: args.parse_or("queue-bound", 256)?,
-        batch_window: std::time::Duration::from_micros(args.parse_or("batch-window-us", 2_000u64)?),
-        max_batch: args.parse_or("max-batch", 32)?,
         cache_pages: args.parse_or("cache", 4096)?,
         cache_shards: args.parse_or("cache-shards", 16)?,
         join_threads: args.parse_or("join-threads", 4)?,
@@ -1753,4 +1775,21 @@ fn check_cluster_scaling(args: &Args, failures: &mut Vec<String>) -> Result<bool
         )),
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(argv: &[&str]) -> Args {
+        Args::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn serve_rejects_unknown_flags_before_loading_trees() {
+        for flag in ["--batch-window-us", "--batch-window-ms", "--max-batch"] {
+            let err = serve(&args(&["--trees", "missing.psjt", flag, "2000"])).unwrap_err();
+            assert_eq!(err, format!("unknown option {flag}"));
+        }
+    }
 }

@@ -1,31 +1,34 @@
-//! The server: acceptor, per-connection threads, a batching stage, and a
-//! work-stealing worker pool sharing one page cache.
+//! The server: acceptor, per-connection threads, and a work-stealing
+//! worker pool sharing one page cache, with batching that never waits.
 //!
 //! ```text
-//! acceptor ──► connection threads ──► batcher ──► injector ──► workers
-//!                    ▲                (window/nearest,            │
-//!                    │                 grouped per tree)          │
-//!                    └──────────────── mpsc reply ◄───────────────┘
+//! acceptor ──► connection threads ──► pending groups ──► workers
+//!                    ▲                (per tree & kind)      ▲  │
+//!                    │                      └── token ──► injector
+//!                    └────────────── mpsc reply ◄──────────────┘
 //! ```
 //!
 //! * **Admission control** — a request is *admitted* by incrementing the
 //!   `queued` counter; if that pushes past `queue_bound` (or the server is
 //!   draining) it is immediately un-admitted and answered
 //!   [`Response::Overloaded`]. `queued` counts admitted-but-unanswered
-//!   requests, so the bound covers the batcher, the injector, and
+//!   requests, so the bound covers the pending groups, the injector, and
 //!   in-flight execution alike.
-//! * **Batching** — window and nearest queries landing within
-//!   `batch_window` of the oldest pending query are grouped per (tree,
-//!   kind) and executed together; a group reaching `max_batch` flushes
-//!   immediately. `batch_window == 0` disables the stage (every query is a
-//!   batch of one, dispatched straight to the injector).
+//! * **Batching** — a window or nearest query is appended to the pending
+//!   group for its (tree, kind), and a token naming that group goes to
+//!   the injector. A worker that pops a token takes everything queued in
+//!   the group, up to [`MAX_BATCH`], and runs it as one batch; a token
+//!   whose group a batch-mate's worker already emptied is skipped. A lone
+//!   query on an idle server therefore runs at once, and batches form
+//!   only when queries pile up behind busy workers. There is no knob: a
+//!   worker never waits, so there is nothing to tune.
 //! * **Deadlines** — `deadline_ms` is converted to an absolute instant at
 //!   arrival; executors check it cooperatively and expired requests get
 //!   [`Response::DeadlineExceeded`] with partial work discarded.
-//! * **Shutdown** — admission closes first, then the drain loop flushes
-//!   the batcher until `queued` reaches zero, then workers and the
-//!   acceptor are halted and joined. Connection threads notice the halt
-//!   flag at their next read timeout.
+//! * **Shutdown** — admission closes first, the workers drain until
+//!   `queued` reaches zero, then workers and the acceptor are halted and
+//!   joined. Connection threads notice the halt flag at their next read
+//!   timeout.
 
 use crate::exec::{self, Outcome, TreeSet, WindowQuery};
 use crate::protocol::{
@@ -34,7 +37,7 @@ use crate::protocol::{
 };
 use crate::telemetry::{GaugeSnapshot, Telemetry};
 use psj_buffer::{Policy, SharedPageCache};
-use psj_core::deque::{Injector, Steal, Worker};
+use psj_core::deque::{Injector, Steal};
 use psj_core::StealPolicy;
 use psj_geom::Point;
 use psj_obs::trace::TID_SERVE;
@@ -66,11 +69,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission bound: maximum admitted-but-unanswered requests.
     pub queue_bound: usize,
-    /// Batching window measured from the oldest pending query; zero
-    /// disables batching.
-    pub batch_window: Duration,
-    /// A (tree, kind) group reaching this size flushes immediately.
-    pub max_batch: usize,
     /// Shared page-cache capacity, in decoded nodes.
     pub cache_pages: usize,
     /// Page-cache lock shards.
@@ -94,8 +92,8 @@ pub struct ServeConfig {
     pub fault: Option<Arc<FaultPlan>>,
     /// Retry policy for failed page-cache fills.
     pub retry: RetryPolicy,
-    /// Structured-trace sink: when set, admissions, sheds, and batch
-    /// flushes emit instants on the server's trace row and the query
+    /// Structured-trace sink: when set, admissions, sheds, and batches
+    /// emit instants on the server's trace row and the query
     /// cache emits page events. `None` (the default) costs one pointer
     /// check per admission.
     pub trace: Option<Arc<TraceSink>>,
@@ -111,8 +109,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             queue_bound: 256,
-            batch_window: Duration::from_millis(2),
-            max_batch: 32,
             cache_pages: 4096,
             cache_shards: 16,
             join_threads: 4,
@@ -129,6 +125,9 @@ impl Default for ServeConfig {
     }
 }
 
+/// Most queries one worker takes from a pending group at once.
+pub const MAX_BATCH: usize = 32;
+
 /// Reply routing for one admitted request.
 struct ReqCtx {
     arrival: Instant,
@@ -142,14 +141,10 @@ struct NearestQuery {
 }
 
 enum WorkItem {
-    Windows {
-        tree: u16,
-        members: Vec<(WindowQuery, ReqCtx)>,
-    },
-    Nearests {
-        tree: u16,
-        members: Vec<(NearestQuery, ReqCtx)>,
-    },
+    /// A token: take and run the pending window group of this tree.
+    Windows(u16),
+    /// A token: take and run the pending nearest group of this tree.
+    Nearests(u16),
     Join {
         tree_a: u16,
         tree_b: u16,
@@ -164,30 +159,36 @@ enum WorkItem {
     Panic,
 }
 
-/// Pending not-yet-flushed query groups.
+/// Queries waiting for a free worker, grouped per tree and kind.
 #[derive(Default)]
 struct BatchState {
     windows: HashMap<u16, Vec<(WindowQuery, ReqCtx)>>,
     nearests: HashMap<u16, Vec<(NearestQuery, ReqCtx)>>,
-    /// Arrival of the oldest pending query; the flush timer's origin.
-    oldest: Option<Instant>,
 }
 
-impl BatchState {
-    fn is_empty(&self) -> bool {
-        self.windows.is_empty() && self.nearests.is_empty()
-    }
+/// A query kind that waits in a pending group.
+trait Batched: Sized {
+    /// This kind's groups, keyed by tree.
+    fn groups(st: &mut BatchState) -> &mut HashMap<u16, Vec<(Self, ReqCtx)>>;
+    /// The token that sends a worker to `tree`'s group.
+    fn token(tree: u16) -> WorkItem;
+}
 
-    fn drain(&mut self) -> Vec<WorkItem> {
-        let mut items = Vec::with_capacity(self.windows.len() + self.nearests.len());
-        for (tree, members) in self.windows.drain() {
-            items.push(WorkItem::Windows { tree, members });
-        }
-        for (tree, members) in self.nearests.drain() {
-            items.push(WorkItem::Nearests { tree, members });
-        }
-        self.oldest = None;
-        items
+impl Batched for WindowQuery {
+    fn groups(st: &mut BatchState) -> &mut HashMap<u16, Vec<(Self, ReqCtx)>> {
+        &mut st.windows
+    }
+    fn token(tree: u16) -> WorkItem {
+        WorkItem::Windows(tree)
+    }
+}
+
+impl Batched for NearestQuery {
+    fn groups(st: &mut BatchState) -> &mut HashMap<u16, Vec<(Self, ReqCtx)>> {
+        &mut st.nearests
+    }
+    fn token(tree: u16) -> WorkItem {
+        WorkItem::Nearests(tree)
     }
 }
 
@@ -200,13 +201,12 @@ struct Shared {
     queued: AtomicUsize,
     /// Admission closed (drain in progress).
     shutting_down: AtomicBool,
-    /// Workers / batcher / connection threads must exit.
+    /// Workers / connection threads must exit.
     halt: AtomicBool,
     injector: Injector<WorkItem>,
     work_mutex: Mutex<()>,
     work_signal: Condvar,
     batch: Mutex<BatchState>,
-    batch_signal: Condvar,
     /// Signalled by a client [`Request::Shutdown`]; `Server::wait` listens.
     shutdown_tx: Mutex<Option<mpsc::Sender<()>>>,
 }
@@ -293,18 +293,6 @@ impl Shared {
             })
             .collect()
     }
-
-    /// Moves every pending batch group to the injector, regardless of age.
-    fn flush_batches(&self) {
-        let items = lock_clean(&self.batch).drain();
-        if !items.is_empty() {
-            self.trace_instant("batch_flush", &[("groups", items.len() as u64)]);
-            for item in items {
-                self.injector.push(item);
-            }
-            self.notify_workers();
-        }
-    }
 }
 
 /// A running server. Dropping the handle without calling [`Server::stop`]
@@ -314,7 +302,6 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     shutdown_rx: mpsc::Receiver<()>,
@@ -335,7 +322,7 @@ impl std::fmt::Display for ServerReport {
 
 impl Server {
     /// Binds `cfg.addr`, loads `trees` behind a fresh shared cache, and
-    /// starts the acceptor, batcher, and worker threads.
+    /// starts the acceptor and worker threads.
     pub fn start(cfg: ServeConfig, trees: Vec<Arc<PagedTree>>) -> io::Result<Server> {
         let mut trees =
             TreeSet::new(trees).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
@@ -368,7 +355,6 @@ impl Server {
             work_mutex: Mutex::new(()),
             work_signal: Condvar::new(),
             batch: Mutex::new(BatchState::default()),
-            batch_signal: Condvar::new(),
             shutdown_tx: Mutex::new(Some(shutdown_tx)),
             cfg,
         });
@@ -382,14 +368,6 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("psj-serve-batcher".into())
-                .spawn(move || batcher_loop(&shared))
-                .expect("spawn batcher")
-        };
 
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
@@ -418,7 +396,6 @@ impl Server {
             shared,
             addr,
             acceptor: Some(acceptor),
-            batcher: Some(batcher),
             workers: worker_handles,
             conns,
             shutdown_rx,
@@ -443,22 +420,14 @@ impl Server {
         let shared = &self.shared;
         // 1. Close admission; new requests get Overloaded.
         shared.shutting_down.store(true, Ordering::SeqCst);
-        // 2. Drain: flush the batcher until every admitted request has
-        //    been answered. Workers are still running here.
+        // 2. Drain: wait until the still-running workers have answered
+        //    every admitted request.
         while shared.queued.load(Ordering::SeqCst) > 0 {
-            shared.flush_batches();
             std::thread::sleep(Duration::from_millis(1));
         }
-        // 3. Halt workers and the batcher.
+        // 3. Halt the workers.
         shared.halt.store(true, Ordering::SeqCst);
         shared.notify_workers();
-        {
-            let _g = lock_clean(&shared.batch);
-            shared.batch_signal.notify_all();
-        }
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -479,83 +448,31 @@ impl Server {
     }
 }
 
-fn batcher_loop(shared: &Shared) {
-    let mut st = lock_clean(&shared.batch);
-    loop {
-        // Wait for pending queries (or halt).
-        while st.is_empty() {
-            if shared.halted() {
-                return;
-            }
-            let (g, _) = shared
-                .batch_signal
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
-        }
-        // Run the window down from the oldest pending arrival. New
-        // arrivals join the same flush (the timer origin never moves
-        // later), so no query waits more than `batch_window`.
-        let flush_at = st.oldest.expect("non-empty batch has an origin") + shared.cfg.batch_window;
-        loop {
-            let now = Instant::now();
-            if now >= flush_at || shared.halted() {
-                break;
-            }
-            let (g, _) = shared
-                .batch_signal
-                .wait_timeout(st, flush_at - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
-            if st.is_empty() {
-                break; // a max_batch flush emptied the state under us
-            }
-        }
-        let items = st.drain();
-        drop(st);
-        if !items.is_empty() {
-            shared.trace_instant("batch_flush", &[("groups", items.len() as u64)]);
-            for item in items {
-                shared.injector.push(item);
-            }
-            shared.notify_workers();
-        }
-        st = lock_clean(&shared.batch);
-    }
-}
-
+/// Takes one item at a time from the shared injector, so no worker holds
+/// tokens that an idle worker could have started on.
 fn worker_loop(shared: &Shared, idx: usize) {
-    let local: Worker<WorkItem> = Worker::new_lifo();
     loop {
-        let item = local.pop().or_else(|| loop {
-            match shared.injector.steal_batch_and_pop(&local) {
-                Steal::Success(item) => break Some(item),
-                Steal::Empty => break None,
-                Steal::Retry => {}
+        if let Steal::Success(item) = shared.injector.steal() {
+            // A panicking handler must not take the worker (or the pool)
+            // down: contain it, count it, keep serving. The request's reply
+            // sender is dropped with its batch, so its connection thread
+            // gets a typed error, not a hang.
+            if catch_unwind(AssertUnwindSafe(|| execute(shared, idx, item))).is_err() {
+                shared.telemetry.worker_panics.inc();
             }
-        });
-        match item {
-            Some(item) => {
-                // A panicking handler must not take the worker (or the
-                // pool) down: contain it, count it, keep serving. The
-                // request's reply sender is dropped with the work item, so
-                // its connection thread gets a typed error, not a hang.
-                if catch_unwind(AssertUnwindSafe(|| execute(shared, idx, item))).is_err() {
-                    shared.telemetry.worker_panics.inc();
-                }
-            }
-            None => {
-                if shared.halted() {
-                    return;
-                }
-                let g = lock_clean(&shared.work_mutex);
-                // Re-check under the lock so a notify between the failed
-                // steal and this wait is not lost for long.
-                let _ = shared
-                    .work_signal
-                    .wait_timeout(g, Duration::from_millis(20))
-                    .unwrap_or_else(|e| e.into_inner());
-            }
+            continue;
+        }
+        if shared.halted() {
+            return;
+        }
+        let g = lock_clean(&shared.work_mutex);
+        // Re-check under the lock: producers push before they take it to
+        // notify, so a push after this check cannot miss the wait.
+        if shared.injector.is_empty() {
+            let _ = shared
+                .work_signal
+                .wait_timeout(g, Duration::from_millis(20))
+                .unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -599,9 +516,8 @@ fn storage_response(e: &PageError) -> Response {
 fn execute(shared: &Shared, worker: usize, item: WorkItem) {
     let t = &shared.telemetry;
     match item {
-        WorkItem::Windows { tree, members } => {
-            t.batches.inc();
-            t.batched_queries.add(members.len() as u64);
+        WorkItem::Windows(tree) => {
+            let members = take_batch::<WindowQuery>(shared, tree);
             let queries: Vec<WindowQuery> = members.iter().map(|(q, _)| *q).collect();
             let results = exec::window_batch(&shared.trees, &shared.cache, worker, tree, &queries);
             for ((_, ctx), result) in members.into_iter().zip(results) {
@@ -610,10 +526,8 @@ fn execute(shared: &Shared, worker: usize, item: WorkItem) {
                 let _ = ctx.reply.send(resp);
             }
         }
-        WorkItem::Nearests { tree, members } => {
-            t.batches.inc();
-            t.batched_queries.add(members.len() as u64);
-            for (q, ctx) in members {
+        WorkItem::Nearests(tree) => {
+            for (q, ctx) in take_batch::<NearestQuery>(shared, tree) {
                 let result = exec::nearest(
                     &shared.trees,
                     &shared.cache,
@@ -747,15 +661,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                         Err(resp) => *resp,
                         Ok(arrival) => {
                             let deadline = abs_deadline(arrival, deadline_ms);
-                            if sheds_at_admission(shared, arrival, deadline) {
-                                shed_expired(shared, arrival)
-                            } else {
-                                let (tx, rx) = mpsc::channel();
-                                let ctx = ReqCtx { arrival, reply: tx };
-                                let q = WindowQuery { rect, deadline };
-                                enqueue_window(shared, tree, q, ctx);
-                                finish(shared, &rx)
-                            }
+                            submit(shared, tree, arrival, WindowQuery { rect, deadline })
                         }
                     }
                 }
@@ -773,20 +679,12 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
                     match admit(shared) {
                         Err(resp) => *resp,
                         Ok(arrival) => {
-                            let deadline = abs_deadline(arrival, deadline_ms);
-                            if sheds_at_admission(shared, arrival, deadline) {
-                                shed_expired(shared, arrival)
-                            } else {
-                                let (tx, rx) = mpsc::channel();
-                                let ctx = ReqCtx { arrival, reply: tx };
-                                let q = NearestQuery {
-                                    point: Point::new(x, y),
-                                    k: k as usize,
-                                    deadline,
-                                };
-                                enqueue_nearest(shared, tree, q, ctx);
-                                finish(shared, &rx)
-                            }
+                            let q = NearestQuery {
+                                point: Point::new(x, y),
+                                k: k as usize,
+                                deadline: abs_deadline(arrival, deadline_ms),
+                            };
+                            submit(shared, tree, arrival, q)
                         }
                     }
                 }
@@ -859,25 +757,6 @@ fn admit(shared: &Shared) -> Result<Instant, Box<Response>> {
     Ok(Instant::now())
 }
 
-/// Pre-admission deadline check for batchable queries: a deadline that
-/// cannot outlive the batch window is guaranteed to expire while (or right
-/// after) waiting to be grouped, so grouping it only wastes a descent on
-/// work the executor will discard. Shedding it here answers the client
-/// just as fast and keeps the batcher's groups free of dead weight.
-fn sheds_at_admission(shared: &Shared, arrival: Instant, deadline: Option<Instant>) -> bool {
-    !shared.cfg.batch_window.is_zero()
-        && deadline.is_some_and(|d| d <= arrival + shared.cfg.batch_window)
-}
-
-/// Answers a pre-admission shed: releases the slot [`admit`] took and
-/// counts the miss like any other expiry.
-fn shed_expired(shared: &Shared, arrival: Instant) -> Response {
-    shared.queued.fetch_sub(1, Ordering::SeqCst);
-    shared.telemetry.timeout(arrival.elapsed());
-    shared.trace_instant("early_shed", &[]);
-    Response::DeadlineExceeded
-}
-
 /// Waits for the worker's reply and releases the admission slot.
 fn finish(shared: &Shared, rx: &mpsc::Receiver<Response>) -> Response {
     let resp = rx
@@ -887,62 +766,40 @@ fn finish(shared: &Shared, rx: &mpsc::Receiver<Response>) -> Response {
     resp
 }
 
-fn enqueue_window(shared: &Shared, tree: u16, q: WindowQuery, ctx: ReqCtx) {
-    if shared.cfg.batch_window.is_zero() {
-        shared.injector.push(WorkItem::Windows {
-            tree,
-            members: vec![(q, ctx)],
-        });
-        shared.notify_workers();
-        return;
-    }
-    let mut st = lock_clean(&shared.batch);
-    if st.oldest.is_none() {
-        st.oldest = Some(ctx.arrival);
-    }
-    let group = st.windows.entry(tree).or_default();
-    group.push((q, ctx));
-    if group.len() >= shared.cfg.max_batch {
-        let members = st.windows.remove(&tree).expect("group exists");
-        if st.is_empty() {
-            st.oldest = None;
-        }
-        drop(st);
-        shared.injector.push(WorkItem::Windows { tree, members });
-        shared.notify_workers();
-    } else {
-        drop(st);
-        shared.batch_signal.notify_all();
-    }
+/// Appends an admitted query to its pending group, queues one token for
+/// the group, and waits for the answer. One token per query means a group
+/// never holds a member without a token still queued behind it.
+fn submit<Q: Batched>(shared: &Shared, tree: u16, arrival: Instant, q: Q) -> Response {
+    let (tx, rx) = mpsc::channel();
+    let ctx = ReqCtx { arrival, reply: tx };
+    Q::groups(&mut lock_clean(&shared.batch))
+        .entry(tree)
+        .or_default()
+        .push((q, ctx));
+    shared.injector.push(Q::token(tree));
+    shared.notify_workers();
+    finish(shared, &rx)
 }
 
-fn enqueue_nearest(shared: &Shared, tree: u16, q: NearestQuery, ctx: ReqCtx) {
-    if shared.cfg.batch_window.is_zero() {
-        shared.injector.push(WorkItem::Nearests {
-            tree,
-            members: vec![(q, ctx)],
-        });
-        shared.notify_workers();
-        return;
-    }
-    let mut st = lock_clean(&shared.batch);
-    if st.oldest.is_none() {
-        st.oldest = Some(ctx.arrival);
-    }
-    let group = st.nearests.entry(tree).or_default();
-    group.push((q, ctx));
-    if group.len() >= shared.cfg.max_batch {
-        let members = st.nearests.remove(&tree).expect("group exists");
-        if st.is_empty() {
-            st.oldest = None;
+/// Takes up to [`MAX_BATCH`] of the oldest queries in `tree`'s group and
+/// counts them as one batch. Empty, and not counted, when a batch-mate's
+/// worker has already emptied the group.
+fn take_batch<Q: Batched>(shared: &Shared, tree: u16) -> Vec<(Q, ReqCtx)> {
+    let members = {
+        let mut st = lock_clean(&shared.batch);
+        let groups = Q::groups(&mut st);
+        match groups.get_mut(&tree) {
+            Some(group) if group.len() > MAX_BATCH => group.drain(..MAX_BATCH).collect(),
+            _ => groups.remove(&tree).unwrap_or_default(),
         }
-        drop(st);
-        shared.injector.push(WorkItem::Nearests { tree, members });
-        shared.notify_workers();
-    } else {
-        drop(st);
-        shared.batch_signal.notify_all();
+    };
+    if !members.is_empty() {
+        let t = &shared.telemetry;
+        t.batches.inc();
+        t.batched_queries.add(members.len() as u64);
+        shared.trace_instant("batch", &[("size", members.len() as u64)]);
     }
+    members
 }
 
 #[cfg(test)]
@@ -965,7 +822,6 @@ mod tests {
     fn start() -> Server {
         let cfg = ServeConfig {
             workers: 2,
-            batch_window: Duration::from_millis(1),
             read_timeout: Duration::from_millis(50),
             ..ServeConfig::default()
         };
@@ -986,6 +842,13 @@ mod tests {
             server.shared.injector.push(WorkItem::Panic);
         }
         server.shared.notify_workers();
+        // A panic is counted once it has unwound, which can take longer
+        // than answering a query on the other worker: wait for all eight.
+        let start = Instant::now();
+        while c.stats().unwrap().worker_panics < 8 {
+            assert!(start.elapsed() < Duration::from_secs(30), "panics lost");
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
         // Every later request is still answered, by the same pool.
         for _ in 0..10 {
@@ -1009,7 +872,7 @@ mod tests {
 
         // Poison the batch mutex deliberately: a thread panics while
         // holding it. Pre-fix, every subsequent lock().unwrap() on the
-        // batcher/enqueue/flush path would propagate the poison and wedge
+        // enqueue/take path would propagate the poison and wedge
         // admission and the shutdown drain.
         {
             let shared = Arc::clone(&server.shared);
@@ -1031,49 +894,6 @@ mod tests {
         let report = server.stop();
         assert!(report.stats.completed >= 5);
         assert_eq!(report.stats.queue_depth, 0, "drain completes");
-    }
-
-    #[test]
-    fn near_expired_requests_shed_before_batching() {
-        // A long batch window makes the expiry deterministic: a 5 ms
-        // deadline cannot survive a 200 ms grouping wait.
-        let cfg = ServeConfig {
-            workers: 2,
-            batch_window: Duration::from_millis(200),
-            read_timeout: Duration::from_millis(50),
-            ..ServeConfig::default()
-        };
-        let server = Server::start(cfg, vec![tree(100)]).expect("bind loopback");
-        let addr = server.local_addr();
-        let mut c = Client::connect(addr).unwrap();
-        let rect = Rect::new(0.0, 0.0, 5.0, 5.0);
-
-        let start = Instant::now();
-        match c.window(0, rect, 5) {
-            Err(crate::ClientError::Unexpected(r)) => {
-                assert_eq!(*r, Response::DeadlineExceeded)
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        assert!(
-            start.elapsed() < Duration::from_millis(150),
-            "shed at admission, not after the batch window: {:?}",
-            start.elapsed()
-        );
-        match c.nearest(0, 1.0, 1.0, 4, 5) {
-            Err(crate::ClientError::Unexpected(r)) => {
-                assert_eq!(*r, Response::DeadlineExceeded)
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        let stats = c.stats().unwrap();
-        assert_eq!(stats.timeouts, 2, "pre-admission sheds count as expiries");
-        assert_eq!(stats.batches, 0, "no batch was ever formed for them");
-        assert_eq!(stats.queue_depth, 0, "admission slots were released");
-
-        // A viable deadline still rides the batcher normally.
-        assert!(!c.window(0, rect, 5_000).unwrap().is_empty());
-        server.stop();
     }
 
     #[test]

@@ -17,6 +17,20 @@ echo "== generate + build =="
 "$PSJ" build --map "$WORK/m1.psjm" --out "$WORK/t1.psjt"
 "$PSJ" build --map "$WORK/m2.psjm" --out "$WORK/t2.psjt"
 
+echo "== retired flag is rejected =="
+# `--batch-window-us` configured a batch timer that no longer exists; the
+# server must refuse it by name rather than ignore it. `timeout` turns a
+# server that accepted the flag and started serving into a failure here
+# instead of a hang.
+if timeout 10 "$PSJ" serve --trees "$WORK/t1.psjt,$WORK/t2.psjt" --addr "$ADDR" \
+    --batch-window-us 2000 > "$WORK/retired.log" 2>&1; then
+  echo "FAIL: psj serve accepted --batch-window-us"; cat "$WORK/retired.log"; exit 1
+fi
+grep -q -- "unknown option --batch-window-us" "$WORK/retired.log" || {
+  echo "FAIL: psj serve did not reject --batch-window-us by name"
+  cat "$WORK/retired.log"; exit 1
+}
+
 echo "== start server =="
 "$PSJ" serve --trees "$WORK/t1.psjt,$WORK/t2.psjt" --addr "$ADDR" \
   --workers 2 --cache 1024 > "$WORK/server.log" 2>&1 &

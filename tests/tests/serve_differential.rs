@@ -1,17 +1,20 @@
 //! Differential acceptance for psj-serve: every query answered by the
 //! server must return exactly the same result set as a direct
 //! psj_rtree / psj_core call on the same trees, swept over concurrent
-//! client threads × batched/unbatched dispatch × cache budgets.
+//! client threads × cache budgets. Batches form only from queries already
+//! queued when a worker frees up; the last two tests pin that down.
 
 use psj_geom::{Point, Rect};
 use psj_integration::harness::JoinScenario;
 use psj_rtree::PagedTree;
+use psj_serve::server::MAX_BATCH;
 use psj_serve::{Client, ServeConfig, Server};
+use psj_store::FaultPlan;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn scenario_trees() -> Vec<Arc<PagedTree>> {
     let s = JoinScenario::paper_maps("serve-differential", 20_2306, 0.02);
@@ -74,11 +77,10 @@ fn client_workload(
     }
 }
 
-fn run_sweep_point(batch_window: Duration, cache_pages: usize) {
+fn run_sweep_point(cache_pages: usize) {
     let trees = scenario_trees();
     let cfg = ServeConfig {
         workers: 4,
-        batch_window,
         cache_pages,
         cache_shards: 4,
         join_threads: 2,
@@ -111,10 +113,8 @@ fn run_sweep_point(batch_window: Duration, cache_pages: usize) {
     assert_eq!(stats.shed, 0, "differential sweep must not shed");
     assert_eq!(stats.timeouts, 0, "no deadlines were set");
     assert!(stats.completed > 4 * 40, "4 clients x 40 queries + 1 join");
-    if !batch_window.is_zero() {
-        assert!(stats.batches > 0, "batched mode never built a batch");
-        assert!(stats.batched_queries >= stats.batches);
-    }
+    assert!(stats.batches > 0, "no query ran as part of a batch");
+    assert!(stats.batched_queries >= stats.batches);
     assert!(
         stats.cache_requests > 0 && stats.cache_hits > 0,
         "queries must run through the shared cache: {stats:?}"
@@ -124,22 +124,118 @@ fn run_sweep_point(batch_window: Duration, cache_pages: usize) {
 }
 
 #[test]
-fn unbatched_large_cache_matches_direct() {
-    run_sweep_point(Duration::ZERO, 4096);
-}
-
-#[test]
 fn batched_large_cache_matches_direct() {
-    run_sweep_point(Duration::from_millis(2), 4096);
-}
-
-#[test]
-fn unbatched_tiny_cache_matches_direct() {
-    // Far below the working set: correctness under eviction pressure.
-    run_sweep_point(Duration::ZERO, 16);
+    run_sweep_point(4096);
 }
 
 #[test]
 fn batched_tiny_cache_matches_direct() {
-    run_sweep_point(Duration::from_millis(2), 16);
+    // Far below the working set: correctness under eviction pressure.
+    run_sweep_point(16);
+}
+
+/// Sorted oids of a window answered by the server, and of the direct call.
+fn window_pair(client: &mut Client, tree: &PagedTree, rect: Rect) -> (Vec<u64>, Vec<u64>) {
+    let mut got = client.window(0, rect, 0).expect("window");
+    let mut want: Vec<u64> = tree.window_query(&rect).iter().map(|e| e.oid).collect();
+    got.sort_unstable();
+    want.sort_unstable();
+    (got, want)
+}
+
+#[test]
+fn queries_queued_behind_a_busy_worker_share_one_batch() {
+    const CLIENTS: usize = 8;
+    const _: () = assert!(CLIENTS < MAX_BATCH, "all clients fit one batch");
+    let trees = scenario_trees();
+    // One worker, and every fill of the cold cache sleeps: the first
+    // query, over the whole tree, holds the worker for one sleep per page
+    // of tree 0 and leaves every page resident for the queries behind it.
+    let cfg = ServeConfig {
+        workers: 1,
+        cache_pages: 4096,
+        fault: Some(Arc::new(
+            FaultPlan::new(11).with_latency(1.0, Duration::from_millis(5)),
+        )),
+        read_timeout: Duration::from_millis(50),
+        ..ServeConfig::default()
+    };
+    assert!(trees[0].num_pages() < cfg.cache_pages);
+    let server = Server::start(cfg, trees.clone()).expect("bind");
+    let addr = server.local_addr();
+    let mut probe = Client::connect(addr).expect("connect");
+    let wait_for = |probe: &mut Client, what: &str, done: &dyn Fn(u32, u64) -> bool| {
+        let start = Instant::now();
+        loop {
+            let s = probe.stats().expect("stats");
+            if done(s.queue_depth, s.cache_misses) {
+                return;
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "timed out: {what}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    let barrier = Barrier::new(CLIENTS);
+    let mut rng = StdRng::seed_from_u64(31);
+    let rects: Vec<Rect> = (0..CLIENTS)
+        .map(|_| random_window(&mut rng, &trees[0].mbr(), 0.05))
+        .collect();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut c = Client::connect(addr).expect("connect");
+            let (got, want) = window_pair(&mut c, &trees[0], trees[0].mbr());
+            assert_eq!(got, want, "holder window");
+        });
+        wait_for(&mut probe, "holder running", &|_, misses| misses > 0);
+        for &rect in &rects {
+            let (trees, barrier) = (&trees, &barrier);
+            scope.spawn(move || {
+                let mut c = Client::connect(addr).expect("connect");
+                barrier.wait();
+                let (got, want) = window_pair(&mut c, &trees[0], rect);
+                assert_eq!(got, want, "queued window {rect:?}");
+            });
+        }
+        // The holder's slot is still taken: every client queued behind it.
+        wait_for(&mut probe, "clients queued", &|depth, _| {
+            depth as usize == CLIENTS + 1
+        });
+    });
+
+    let stats = probe.stats().expect("stats");
+    assert_eq!(stats.batched_queries, (CLIENTS + 1) as u64);
+    assert!(
+        stats.batched_queries > stats.batches,
+        "no multi-member batch formed under queue depth: {stats:?}"
+    );
+    server.stop();
+}
+
+#[test]
+fn a_lone_client_on_an_idle_server_never_waits_for_company() {
+    let trees = scenario_trees();
+    let cfg = ServeConfig {
+        workers: 2,
+        read_timeout: Duration::from_millis(50),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg, trees.clone()).expect("bind");
+    let addr = server.local_addr();
+    let requests = 60;
+    client_workload(addr, &trees, 7, requests);
+
+    let stats = Client::connect(addr)
+        .expect("connect")
+        .stats()
+        .expect("stats");
+    assert_eq!(stats.batched_queries, requests as u64);
+    assert_eq!(
+        stats.batches, stats.batched_queries,
+        "a sequential client's query ran in a batch with another"
+    );
+    server.stop();
 }

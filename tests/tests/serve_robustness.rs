@@ -7,6 +7,7 @@ use psj_geom::Rect;
 use psj_rtree::{PagedTree, RTree};
 use psj_serve::protocol::{read_frame, write_frame, Request, Response, MAX_REQUEST_FRAME};
 use psj_serve::{Client, ClientError, ServeConfig, Server};
+use psj_store::FaultPlan;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier, OnceLock};
@@ -35,6 +36,14 @@ fn quick_cfg() -> ServeConfig {
         cache_pages: 512,
         ..ServeConfig::default()
     }
+}
+
+/// Every cache fill sleeps 40 ms: on a cold cache, the first query holds
+/// its worker for several fills, so later arrivals queue behind it.
+fn slow_fills() -> Option<Arc<FaultPlan>> {
+    Some(Arc::new(
+        FaultPlan::new(7).with_latency(1.0, Duration::from_millis(40)),
+    ))
 }
 
 /// The server answers a full window query — the liveness probe used after
@@ -128,19 +137,19 @@ fn client_disconnect_mid_request_leaves_server_healthy() {
 
 #[test]
 fn overload_sheds_with_overloaded_not_a_panic() {
-    // Tiny admission bound and a long batching window: the first admitted
-    // query parks in the batcher, so concurrent arrivals exceed the bound
+    // Tiny admission bound and one worker held by slow fills of a cold
+    // cache: the first admitted query occupies the worker for several
+    // 40 ms fills, so concurrent arrivals exceed the bound
     // deterministically.
     let (server, addr) = start(ServeConfig {
         workers: 1,
         queue_bound: 2,
-        batch_window: Duration::from_millis(40),
-        max_batch: 1_000,
+        fault: slow_fills(),
         ..quick_cfg()
     });
 
     let threads = 12;
-    let per_thread = 4; // 48 offered >= 2x queue bound while batcher parks
+    let per_thread = 4; // 48 offered >= 2x queue bound while the worker is held
     let barrier = Arc::new(Barrier::new(threads));
     let (mut shed, mut completed) = (0u64, 0u64);
     std::thread::scope(|scope| {
@@ -152,7 +161,7 @@ fn overload_sheds_with_overloaded_not_a_panic() {
                     barrier.wait();
                     let (mut shed, mut completed) = (0u64, 0u64);
                     for _ in 0..per_thread {
-                        match c.window(0, Rect::new(0.0, 0.0, 64.0, 64.0), 0) {
+                        match c.window(0, Rect::new(0.0, 0.0, 4.0, 4.0), 0) {
                             Ok(_) => completed += 1,
                             Err(ClientError::Unexpected(r)) if *r == Response::Overloaded => {
                                 shed += 1
@@ -185,10 +194,10 @@ fn overload_sheds_with_overloaded_not_a_panic() {
 
 #[test]
 fn expired_deadline_returns_timeout_and_server_keeps_serving() {
-    // The batching window (25 ms) exceeds the deadline (1 ms), so the
-    // query is already expired when its batch executes — deterministic.
+    // The first fill of the cold cache (40 ms) outlasts the deadline
+    // (1 ms), so the query expires mid-descent — deterministic.
     let (server, addr) = start(ServeConfig {
-        batch_window: Duration::from_millis(25),
+        fault: slow_fills(),
         ..quick_cfg()
     });
     let mut c = Client::connect(addr).unwrap();
