@@ -5,12 +5,14 @@
 //! consulted *before* the shared cache. A slot hit returns the pinned value
 //! without touching the shard mutex or any stat atomic — the repeat hits a
 //! join's depth-first descent produces (the same parent pages over and over)
-//! collapse to an array probe and a generation compare.
+//! collapse to an array probe and a generation compare. [`L1Front::read`]
+//! is the front's one lookup: slot, then [`SharedPageCache::read`] (guard,
+//! else pessimistic) with a refill.
 //!
 //! ## Coherence
 //!
 //! A slot is filled with the shard's generation as read **before** the
-//! underlying [`SharedPageCache::try_get`]. The shared cache bumps a shard's
+//! underlying [`SharedPageCache::read`]. The shared cache bumps a shard's
 //! generation whenever a page leaves it (eviction or quarantine), so:
 //!
 //! * slot generation == current generation ⟹ no page has left the shard
@@ -22,7 +24,8 @@
 //!   after which the front falls through to the shared cache and refills —
 //!   via a borrowing [`PageGuard`](crate::PageGuard) read when the page is
 //!   still resident (no shard mutex; the slot's `Arc` is minted from the
-//!   guard), pessimistically only on a genuine miss.
+//!   guard and the guard itself is returned to the caller),
+//!   pessimistically only when the pin fails.
 //!
 //! Reading the generation *before* the fill only errs toward a stale (too
 //! old) value, which makes slots expire sooner — never later — than a
@@ -45,34 +48,9 @@
 //! deltas and aggregates reconcile exactly; the executor's per-task traces
 //! assert this.
 
-use crate::shared::{OptCoupling, PageGuard, PageSource, SharedAccess, SharedPageCache};
+use crate::shared::{PageRef, PageSource, SharedAccess, SharedPageCache};
 use psj_store::{PageError, PageId};
 use std::sync::Arc;
-
-/// Where a coupled lookup was served from; see [`L1Front::try_get_coupled`].
-pub enum L1Read<'c, T> {
-    /// A front slot hit: the pinned value, cloned. Counted in
-    /// [`L1Front::pending_hits`] like every other front hit.
-    Front(Arc<T>),
-    /// Served by a borrowing coupled guard ([`PageGuard`]); the front slot
-    /// was refilled from the guard so repeats hit the front.
-    Guard(PageGuard<'c, T>),
-    /// Served by the shared cache's fallback ladder (optimistic retry or
-    /// pessimistic path) after the coupled guard read failed.
-    Shared(Arc<T>, SharedAccess),
-}
-
-impl<T> std::ops::Deref for L1Read<'_, T> {
-    type Target = T;
-
-    #[inline]
-    fn deref(&self) -> &T {
-        match self {
-            L1Read::Front(v) | L1Read::Shared(v, _) => v,
-            L1Read::Guard(g) => g,
-        }
-    }
-}
 
 /// One direct-mapped slot: the page, the owning shard's generation at fill
 /// time, and the pinned value.
@@ -127,19 +105,22 @@ impl<T> L1Front<T> {
     }
 
     /// Looks up `page`, probing the front first and falling back to
-    /// `cache.try_get` on a front miss (refilling the slot on success).
+    /// [`SharedPageCache::read`] on a front miss (refilling the slot on
+    /// success). A front hit hands out the slot's `Arc`; a refill hands out
+    /// the shared cache's guard borrow when the pin validated, so the
+    /// caller's read costs no refcount traffic beyond the slot's own.
     ///
-    /// Returns the value and how the request was satisfied;
+    /// Returns the page and how the request was satisfied;
     /// [`SharedAccess::HitLocal`] is reported for front hits (the hit is
     /// counted separately in `hits_l1` at [`L1Front::flush`] time, not in
     /// `hits_local`).
-    pub fn try_get<S>(
+    pub fn read<'c, S>(
         &mut self,
-        cache: &SharedPageCache<T>,
+        cache: &'c SharedPageCache<T>,
         worker: usize,
         page: PageId,
         source: &S,
-    ) -> Result<(Arc<T>, SharedAccess), PageError>
+    ) -> Result<(PageRef<'c, T>, SharedAccess), PageError>
     where
         S: PageSource<Item = T> + ?Sized,
     {
@@ -150,74 +131,19 @@ impl<T> L1Front<T> {
         if let Some(slot) = &self.slots[idx] {
             if slot.page == page && slot.generation == generation {
                 self.pending_hits += 1;
-                return Ok((Arc::clone(&slot.value), SharedAccess::HitLocal));
+                return Ok((
+                    PageRef::Owned(Arc::clone(&slot.value)),
+                    SharedAccess::HitLocal,
+                ));
             }
         }
-        // Guard-renewable refill: a borrowing guard read validates the
-        // page is resident without the shard mutex, and `to_arc` pays the
-        // one refcount increment the slot needs to own the value. Only a
-        // genuine miss (or contention fallback) takes the pessimistic
-        // path. Stats stay exact: the guard path bumps the same
-        // local/remote hit counters `try_get`'s fast path would.
-        let (value, access) = match cache.guard_get(worker, page) {
-            Some(guard) => (guard.to_arc(), guard.access()),
-            None => cache.try_get(worker, page, source)?,
-        };
+        let (read, access) = cache.read(worker, page, source)?;
         self.slots[idx] = Some(Slot {
             page,
             generation,
-            value: Arc::clone(&value),
+            value: read.to_arc(),
         });
-        Ok((value, access))
-    }
-
-    /// As [`L1Front::try_get`], but the refill read participates in a
-    /// cross-level coupling `chain` (see
-    /// [`SharedPageCache::guard_get_coupled`]) and the guard borrow is
-    /// returned to the caller instead of being collapsed into an `Arc` —
-    /// the caller's read costs no refcount traffic beyond the slot refill.
-    ///
-    /// A front hit does not advance the chain (no shard version was
-    /// validated); the next coupled read simply validates against the last
-    /// *guarded* ancestor, which is exactly as strong a check.
-    pub fn try_get_coupled<'c, S>(
-        &mut self,
-        cache: &'c SharedPageCache<T>,
-        worker: usize,
-        page: PageId,
-        chain: &mut OptCoupling,
-        source: &S,
-    ) -> Result<L1Read<'c, T>, PageError>
-    where
-        S: PageSource<Item = T> + ?Sized,
-    {
-        let idx = self.slot_of(page);
-        let generation = cache.shard_generation(page);
-        if let Some(slot) = &self.slots[idx] {
-            if slot.page == page && slot.generation == generation {
-                self.pending_hits += 1;
-                return Ok(L1Read::Front(Arc::clone(&slot.value)));
-            }
-        }
-        match cache.guard_get_coupled(worker, page, chain) {
-            Some(guard) => {
-                self.slots[idx] = Some(Slot {
-                    page,
-                    generation,
-                    value: guard.to_arc(),
-                });
-                Ok(L1Read::Guard(guard))
-            }
-            None => {
-                let (value, access) = cache.try_get(worker, page, source)?;
-                self.slots[idx] = Some(Slot {
-                    page,
-                    generation,
-                    value: Arc::clone(&value),
-                });
-                Ok(L1Read::Shared(value, access))
-            }
-        }
+        Ok((read, access))
     }
 
     /// Flushes accumulated front hits into `worker`'s
@@ -286,10 +212,10 @@ mod tests {
         let cache: SharedPageCache<u32> = SharedPageCache::new(1, 64, 2, Policy::Lru);
         let src = counting();
         let mut l1 = L1Front::new(16);
-        let (v, a) = l1.try_get(&cache, 0, p(3), &src).unwrap();
+        let (v, a) = l1.read(&cache, 0, p(3), &src).unwrap();
         assert_eq!((*v, a), (3, SharedAccess::Miss));
         for _ in 0..5 {
-            let (v, a) = l1.try_get(&cache, 0, p(3), &src).unwrap();
+            let (v, a) = l1.read(&cache, 0, p(3), &src).unwrap();
             assert_eq!((*v, a), (3, SharedAccess::HitLocal));
         }
         // The shared cache saw exactly one request (the miss): the repeats
@@ -314,13 +240,13 @@ mod tests {
         let cache: SharedPageCache<u32> = SharedPageCache::new(1, 1, 1, Policy::Lru);
         let src = counting();
         let mut l1 = L1Front::new(16);
-        l1.try_get(&cache, 0, p(1), &src).unwrap();
+        l1.read(&cache, 0, p(1), &src).unwrap();
         // p2 evicts p1 and bumps the shard generation.
-        l1.try_get(&cache, 0, p(2), &src).unwrap();
+        l1.read(&cache, 0, p(2), &src).unwrap();
         assert!(!cache.contains(p(1)));
         // The front must NOT serve its stale p1 slot: the access goes to the
         // shared cache and re-fetches.
-        let (_, a) = l1.try_get(&cache, 0, p(1), &src).unwrap();
+        let (_, a) = l1.read(&cache, 0, p(1), &src).unwrap();
         assert_eq!(a, SharedAccess::Miss);
         assert_eq!(src.fetches.load(Ordering::Relaxed), 3);
         assert_eq!(l1.pending_hits(), 0, "no front hit was ever served");
@@ -334,50 +260,42 @@ mod tests {
         let mut l1 = L1Front::new(1);
         assert_eq!(l1.len(), 1);
         for n in 0..8 {
-            let (v, _) = l1.try_get(&cache, 0, p(n), &src).unwrap();
+            let (v, _) = l1.read(&cache, 0, p(n), &src).unwrap();
             assert_eq!(*v, n);
         }
         // Values stay correct under constant collision; no front hits accrue.
         assert_eq!(l1.pending_hits(), 0);
         // But a repeat of the most recent page hits.
-        let (_, a) = l1.try_get(&cache, 0, p(7), &src).unwrap();
+        let (_, a) = l1.read(&cache, 0, p(7), &src).unwrap();
         assert_eq!(a, SharedAccess::HitLocal);
     }
 
     #[test]
-    fn coupled_lookup_front_guard_and_fallback() {
+    fn lookup_front_guard_and_fallback() {
         let cache: SharedPageCache<u32> = SharedPageCache::new(1, 64, 2, Policy::Lru);
         let src = counting();
         let mut l1 = L1Front::new(16);
-        let mut chain = OptCoupling::root();
-        // Cold: nothing mirrored yet → the guard read fails and the
-        // pessimistic fallback fills.
-        let r = l1
-            .try_get_coupled(&cache, 0, p(5), &mut chain, &src)
-            .unwrap();
-        assert!(matches!(r, L1Read::Shared(_, SharedAccess::Miss)));
-        assert_eq!(*r, 5);
+        // Cold: nothing mirrored yet → the pin fails and the pessimistic
+        // path fills.
+        let (r, a) = l1.read(&cache, 0, p(5), &src).unwrap();
+        assert!(matches!(r, PageRef::Owned(_)));
+        assert_eq!((*r, a), (5, SharedAccess::Miss));
         // Repeat: the refilled slot serves it.
-        let r = l1
-            .try_get_coupled(&cache, 0, p(5), &mut chain, &src)
-            .unwrap();
-        assert!(matches!(r, L1Read::Front(_)));
+        let (r, _) = l1.read(&cache, 0, p(5), &src).unwrap();
+        assert!(matches!(r, PageRef::Owned(_)));
         assert_eq!(l1.pending_hits(), 1);
-        // Front invalidated but the page is still resident: the coupled
-        // guard read serves the borrow and refills the slot.
+        // Front invalidated but the page is still resident: the guard
+        // read serves the borrow and refills the slot.
         l1.clear();
-        let r = l1
-            .try_get_coupled(&cache, 0, p(5), &mut chain, &src)
-            .unwrap();
-        assert!(matches!(r, L1Read::Guard(_)));
-        assert_eq!(*r, 5);
-        assert!(cache.opt_stats().guard_hits >= 1);
+        let (r, a) = l1.read(&cache, 0, p(5), &src).unwrap();
+        assert!(matches!(r, PageRef::Guard(_)));
+        assert_eq!((*r, a), (5, SharedAccess::HitLocal));
+        assert_eq!(cache.opt_stats().guard_hits, 1);
         drop(r);
         // ... and the refill means the next read is a front hit again.
-        let r = l1
-            .try_get_coupled(&cache, 0, p(5), &mut chain, &src)
-            .unwrap();
-        assert!(matches!(r, L1Read::Front(_)));
+        let (r, _) = l1.read(&cache, 0, p(5), &src).unwrap();
+        assert!(matches!(r, PageRef::Owned(_)));
+        assert_eq!(l1.pending_hits(), 2);
         assert_eq!(src.fetches.load(Ordering::Relaxed), 1, "one disk read");
         cache.check_invariants().unwrap();
     }
@@ -387,9 +305,9 @@ mod tests {
         let cache: SharedPageCache<u32> = SharedPageCache::new(1, 64, 1, Policy::Lru);
         let src = counting();
         let mut l1 = L1Front::new(4);
-        l1.try_get(&cache, 0, p(1), &src).unwrap();
+        l1.read(&cache, 0, p(1), &src).unwrap();
         l1.clear();
-        let (_, a) = l1.try_get(&cache, 0, p(1), &src).unwrap();
+        let (_, a) = l1.read(&cache, 0, p(1), &src).unwrap();
         assert_eq!(a, SharedAccess::HitLocal, "shared cache still holds it");
     }
 }

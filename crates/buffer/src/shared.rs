@@ -47,14 +47,12 @@
 //! progress) plus a fixed open-addressed *mirror* of atomic slots — one
 //! `(tag, owner, payload pointer, pin count)` quadruple per resident page.
 //! A reader snapshots the version, probes the mirror, *pins* the matching
-//! slot, re-validates the version, and only then clones the `Arc` out of
-//! the slot; any mismatch unpins and retries, and after
-//! [`OPT_ATTEMPTS`](SharedPageCache) failed validations the read falls
-//! back to the pessimistic mutex path (a bounded `repeat`-style protocol).
+//! slot and re-validates the version; any mismatch unpins and retries, and
+//! after [`OPT_ATTEMPTS`](SharedPageCache) failed validations the read
+//! goes to the pessimistic mutex path (a bounded `repeat`-style protocol).
 //! Mutations — fills, evictions, quarantine — keep the mutex+condvar write
-//! path but bump the version to odd around every *removal* and wait for
-//! the victim slot's pin count to drain before freeing its payload, so a
-//! validated pin is a guarantee the pointee outlives the clone. Inserts
+//! path but bump the version to odd around every *removal*, so a validated
+//! pin is a guarantee the pointee outlives the pin. Inserts
 //! into empty slots publish the tag last (release) and need no version
 //! bump, which preserves the old `generation` semantics exactly: the word
 //! advances precisely when a resident page leaves the shard, and the
@@ -67,28 +65,26 @@
 //! contended line; the seqlock-path counters are surfaced separately as
 //! [`OptStats`].
 //!
-//! ## Borrowing guards and coupled descent
+//! ## Borrowing guards
 //!
-//! [`PageGuard`] is the zero-copy variant of the optimistic read: instead
-//! of cloning the `Arc` under the pin and releasing it, the winning read
-//! *keeps* its pin and hands out `&T` directly — no refcount traffic at
-//! all on the hot descent path. To make that safe, removal no longer
+//! The winning optimistic read *keeps* its pin: that pin is a
+//! [`PageGuard`], which hands out `&T` directly — no refcount traffic at
+//! all on the hot descent path. [`SharedPageCache::try_get`] is the same
+//! read followed by one `Arc` clone under the pin, and
+//! [`SharedPageCache::read`] returns the guard itself, or the owned `Arc`
+//! of the pessimistic path when the pin fails ([`PageRef`]). Removal never
 //! waits for pins to drain: a reader may legitimately hold a guard on the
 //! victim page *while* performing the pessimistic fill that evicts it, so
 //! a pin-drain wait would deadlock against the waiter's own pin. Instead
 //! [`Shard::mirror_remove`] clears the slot and, if pins remain, retires
 //! the payload's strong reference to a per-shard *graveyard* that later
-//! sweeps free once the pins drain. The Dekker pairing is unchanged:
+//! sweeps free once the pins drain. The Dekker pairing makes this sound:
 //! either the reader's validation fails, or its pin is visible to the
-//! remover — which now defers the free instead of spinning on it.
+//! remover — which then defers the free.
 //!
-//! [`OptCoupling`] chains guard reads across the levels of a descent
-//! (umolc-style coupled validation): acquiring the child guard
-//! revalidates the parent's seqlock version, so a root-to-leaf path forms
-//! one validation chain. A version advance with the parent still resident
-//! *renews* the chain; a vanished parent *breaks* it — the child guard is
-//! dropped and the caller falls back per-page to the pessimistic path,
-//! so correctness never depends on the chain.
+//! Guards validate one page at a time; nothing chains them across the
+//! levels of a descent. Tree pages are frozen for the life of a tree, so a
+//! parent's validity says nothing a child's own validation does not.
 //!
 //! Because optimistic and guard hits skip replacement promotion, every
 //! [`TOUCH_SAMPLE`]-th such hit per worker re-touches the page under a
@@ -192,13 +188,13 @@ struct OptSlot<T> {
     /// `Arc::into_raw` of the mirror's own strong reference to the value.
     /// Null iff the slot is empty.
     ptr: AtomicPtr<T>,
-    /// Readers between "validated the version" and "cloned the Arc" hold a
-    /// pin; a remover waits for pins to drain (after flipping the version
-    /// odd) before releasing the slot's reference. SeqCst pairs the
-    /// reader's `pin ; load version` against the writer's
+    /// Readers validating, or holding a [`PageGuard`], hold a pin; a
+    /// remover that sees pins (after flipping the version odd) retires the
+    /// slot's reference to the graveyard instead of releasing it. SeqCst
+    /// pairs the reader's `pin ; load version` against the writer's
     /// `store version ; load pins` (Dekker), so either the reader sees the
     /// odd/advanced version and aborts, or the writer sees the pin and
-    /// waits.
+    /// defers the free.
     pins: AtomicUsize,
 }
 
@@ -437,11 +433,8 @@ struct WorkerStats {
     opt_hits: AtomicU64,
     opt_retries: AtomicU64,
     opt_fallbacks: AtomicU64,
-    /// Guard-path counters: borrowing reads served with neither mutex nor
-    /// Arc clone, and how their cross-level validation chains resolved.
+    /// Borrowing reads served with neither mutex nor Arc clone.
     guard_hits: AtomicU64,
-    coupled: AtomicU64,
-    renewed: AtomicU64,
     /// Rolling tick driving the sampled LRU touch on optimistic hits (not
     /// a statistic; lives here for the per-worker cacheline).
     touch_tick: AtomicU64,
@@ -467,25 +460,20 @@ impl WorkerStats {
             retries: self.opt_retries.load(Ordering::Relaxed),
             fallbacks: self.opt_fallbacks.load(Ordering::Relaxed),
             guard_hits: self.guard_hits.load(Ordering::Relaxed),
-            coupled: self.coupled.load(Ordering::Relaxed),
-            renewed: self.renewed.load(Ordering::Relaxed),
         }
     }
 }
 
 /// A borrowing, pin-backed view of a cached page: derefs to `&T` with
 /// **no Arc clone and no shard mutex**. Produced by
-/// [`SharedPageCache::guard_get`] and
-/// [`SharedPageCache::guard_get_coupled`]. Holding one pins the page's
-/// mirror slot, which *defers* (never blocks) a concurrent eviction's
-/// payload free until the guard drops — see the module docs for the
-/// graveyard protocol that makes this safe even when the guard's own
-/// thread performs the eviction.
+/// [`SharedPageCache::guard_get`] and [`SharedPageCache::read`]. Holding
+/// one pins the page's mirror slot, which *defers* (never blocks) a
+/// concurrent eviction's payload free until the guard drops — see the
+/// module docs for the graveyard protocol that makes this safe even when
+/// the guard's own thread performs the eviction.
 pub struct PageGuard<'c, T> {
     slot: &'c OptSlot<T>,
     raw: *const T,
-    shard_idx: usize,
-    version: u64,
     page: PageId,
     access: SharedAccess,
 }
@@ -503,7 +491,7 @@ impl<T> PageGuard<'_, T> {
 
     /// An owned handle to the page, for callers that must outlive the
     /// guard (e.g. an L1 slot refill). Costs one refcount increment —
-    /// exactly what the Arc-path optimistic read pays.
+    /// exactly what [`SharedPageCache::try_get`]'s optimistic hit pays.
     pub fn to_arc(&self) -> Arc<T> {
         // SAFETY: `raw` came from `Arc::into_raw`; the pin held by this
         // guard keeps the mirror's (or graveyard's) strong reference
@@ -511,19 +499,6 @@ impl<T> PageGuard<'_, T> {
         unsafe {
             Arc::increment_strong_count(self.raw);
             Arc::from_raw(self.raw)
-        }
-    }
-
-    /// The validation token linking this read into a parent→child chain;
-    /// pass to [`SharedPageCache::guard_get_coupled`] for the next level
-    /// of the descent.
-    pub fn coupling(&self) -> OptCoupling {
-        OptCoupling {
-            link: Some(CoupleLink {
-                shard: self.shard_idx,
-                version: self.version,
-                page: self.page,
-            }),
         }
     }
 }
@@ -555,30 +530,38 @@ impl<T> std::fmt::Debug for PageGuard<'_, T> {
     }
 }
 
-/// One validated `(shard, version, page)` link of a descent chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CoupleLink {
-    shard: usize,
-    version: u64,
-    page: PageId,
+/// A page read out of the cache by [`SharedPageCache::read`] (or
+/// [`L1Front::read`](crate::L1Front::read)): the borrowing guard when the
+/// optimistic read validated, an owned `Arc` when the pessimistic path or
+/// an L1 front slot served it. Derefs to `&T` either way; hold it only as
+/// long as the caller looks at the page.
+#[derive(Debug)]
+pub enum PageRef<'c, T> {
+    /// Served by a validated optimistic pin.
+    Guard(PageGuard<'c, T>),
+    /// Served as an owned value.
+    Owned(Arc<T>),
 }
 
-/// Cross-level validation token for optimistic descents (umolc-style
-/// coupled validation). Create one with [`OptCoupling::root`] at the top
-/// of a root-to-leaf traversal and thread it through
-/// [`SharedPageCache::guard_get_coupled`]: each successful child read
-/// revalidates the parent link and advances the token, so the whole path
-/// forms one validation chain; any broken link resets the token and sends
-/// that page to the pessimistic path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptCoupling {
-    link: Option<CoupleLink>,
+impl<T> PageRef<'_, T> {
+    /// An owned handle to the page (one refcount increment).
+    pub fn to_arc(&self) -> Arc<T> {
+        match self {
+            PageRef::Guard(g) => g.to_arc(),
+            PageRef::Owned(v) => Arc::clone(v),
+        }
+    }
 }
 
-impl OptCoupling {
-    /// A chain with no parent yet (the start of a descent).
-    pub fn root() -> Self {
-        OptCoupling::default()
+impl<T> std::ops::Deref for PageRef<'_, T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        match self {
+            PageRef::Guard(g) => g,
+            PageRef::Owned(v) => v,
+        }
     }
 }
 
@@ -737,19 +720,6 @@ impl<T> SharedPageCache<T> {
         }
     }
 
-    /// Books a failed optimistic attempt: the validation retries, plus a
-    /// fallback when the attempts were exhausted by contention (rather
-    /// than the read being a clean mirror miss).
-    fn note_opt_failure(&self, worker: usize, retries: u64) {
-        let s = &self.stats[worker];
-        if retries > 0 {
-            s.opt_retries.fetch_add(retries, Ordering::Relaxed);
-        }
-        if retries >= OPT_ATTEMPTS as u64 {
-            s.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Counter updates run outside every shard lock (callers invoke this
     /// after dropping the shard state), so a hit holds the shard mutex only
     /// for the map probe + `Arc` clone and never serializes on stats.
@@ -799,12 +769,14 @@ impl<T> SharedPageCache<T> {
         self.shard_of(page).version.load(Ordering::Acquire)
     }
 
-    /// The optimistic read: serve `page` from the shard's mirror without
-    /// the mutex. Returns `Ok` on a validated hit; `Err(retries)` when the
-    /// caller must go pessimistic, carrying the number of failed
-    /// validations (0 = clean miss, `>= OPT_ATTEMPTS` = fallback after
-    /// contention).
-    fn opt_get(&self, worker: usize, page: PageId) -> Result<(Arc<T>, SharedAccess), u64> {
+    /// The cache's one optimistic read: probe the shard's mirror without
+    /// the mutex, pin the matching slot and validate the seqlock version.
+    /// The winning read *keeps* its pin — the pin is the returned guard's
+    /// lease on the payload. Books the hit's access and retries; the
+    /// caller books the hit itself ([`OptStats::hits`] or
+    /// [`OptStats::guard_hits`]). `None` means the caller must go
+    /// pessimistic: a clean miss, or [`OPT_ATTEMPTS`] failed validations.
+    fn guard_acquire(&self, worker: usize, page: PageId) -> Option<PageGuard<'_, T>> {
         let shard = self.shard_of(page);
         let tag = Shard::<T>::tag_of(page);
         let base = shard.slot_base(page);
@@ -831,7 +803,7 @@ impl<T> SharedPageCache<T> {
                 if shard.version.load(Ordering::SeqCst) == v1 {
                     // Stable version across the whole probe: the page
                     // really is absent from the mirror. Miss, not failure.
-                    return Err(retries);
+                    break;
                 }
                 retries += 1;
                 continue;
@@ -845,102 +817,22 @@ impl<T> SharedPageCache<T> {
             let raw = slot.ptr.load(Ordering::SeqCst);
             let owner = slot.owner.load(Ordering::Relaxed);
             let tag2 = slot.tag.load(Ordering::SeqCst);
-            let valid = shard.version.load(Ordering::SeqCst) == v1 && tag2 == tag && !raw.is_null();
-            let value = if valid {
-                // SAFETY: `raw` came from `Arc::into_raw`; the validated
-                // pin (above) keeps the remover from releasing the slot's
-                // strong reference until we drop the pin below, so the
-                // pointee is alive for the clone.
-                Some(unsafe {
-                    Arc::increment_strong_count(raw);
-                    Arc::from_raw(raw)
-                })
-            } else {
-                None
-            };
-            slot.pins.fetch_sub(1, Ordering::SeqCst);
-            match value {
-                Some(v) => {
-                    let access = if owner == worker {
-                        SharedAccess::HitLocal
-                    } else {
-                        SharedAccess::HitRemote { owner }
-                    };
-                    let s = &self.stats[worker];
-                    s.opt_hits.fetch_add(1, Ordering::Relaxed);
-                    if retries > 0 {
-                        s.opt_retries.fetch_add(retries, Ordering::Relaxed);
-                    }
-                    self.bump(worker, access, false, 0);
-                    self.sampled_touch(worker, shard, page);
-                    return Ok((v, access));
-                }
-                None => {
-                    retries += 1;
-                    continue;
-                }
-            }
-        }
-        Err(retries)
-    }
-
-    /// Core of the guard acquisition: [`SharedPageCache::opt_get`]'s
-    /// protocol, but the winning read *keeps* its pin instead of cloning
-    /// the `Arc` under it — the pin is the guard's lease on the payload.
-    /// Returns `Err(retries)` when the caller must go pessimistic.
-    fn guard_acquire(&self, worker: usize, page: PageId) -> Result<PageGuard<'_, T>, u64> {
-        let shard_idx = self.shard_index(page);
-        let shard = &self.shards[shard_idx];
-        let tag = Shard::<T>::tag_of(page);
-        let base = shard.slot_base(page);
-        let mask = shard.mirror.len() - 1;
-        let mut retries = 0u64;
-        while retries < OPT_ATTEMPTS as u64 {
-            let v1 = shard.version.load(Ordering::SeqCst);
-            if !v1.is_multiple_of(2) {
-                retries += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut found = None;
-            for i in 0..MIRROR_PROBE {
-                let slot = &shard.mirror[(base + i) & mask];
-                if slot.tag.load(Ordering::Acquire) == tag {
-                    found = Some(slot);
-                    break;
-                }
-            }
-            let Some(slot) = found else {
-                if shard.version.load(Ordering::SeqCst) == v1 {
-                    return Err(retries);
-                }
-                retries += 1;
-                continue;
-            };
-            // Pin, then re-validate — the same Dekker pairing as
-            // `opt_get`; see the comments there.
-            slot.pins.fetch_add(1, Ordering::SeqCst);
-            let raw = slot.ptr.load(Ordering::SeqCst);
-            let owner = slot.owner.load(Ordering::Relaxed);
-            let tag2 = slot.tag.load(Ordering::SeqCst);
             if shard.version.load(Ordering::SeqCst) == v1 && tag2 == tag && !raw.is_null() {
                 let access = if owner == worker {
                     SharedAccess::HitLocal
                 } else {
                     SharedAccess::HitRemote { owner }
                 };
-                let s = &self.stats[worker];
-                s.guard_hits.fetch_add(1, Ordering::Relaxed);
                 if retries > 0 {
-                    s.opt_retries.fetch_add(retries, Ordering::Relaxed);
+                    self.stats[worker]
+                        .opt_retries
+                        .fetch_add(retries, Ordering::Relaxed);
                 }
                 self.bump(worker, access, false, 0);
                 self.sampled_touch(worker, shard, page);
-                return Ok(PageGuard {
+                return Some(PageGuard {
                     slot,
                     raw,
-                    shard_idx,
-                    version: v1,
                     page,
                     access,
                 });
@@ -948,89 +840,54 @@ impl<T> SharedPageCache<T> {
             slot.pins.fetch_sub(1, Ordering::SeqCst);
             retries += 1;
         }
-        Err(retries)
+        // A fallback only when contention exhausted the attempts, not on a
+        // clean mirror miss.
+        let s = &self.stats[worker];
+        if retries > 0 {
+            s.opt_retries.fetch_add(retries, Ordering::Relaxed);
+        }
+        if retries >= OPT_ATTEMPTS as u64 {
+            s.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
+        None
     }
 
     /// Borrowing optimistic read: a [`PageGuard`] handing out `&T` with
     /// no Arc clone and no shard mutex, when `page` is resident and the
     /// seqlock validates. `None` means the caller must take the
-    /// pessimistic path ([`SharedPageCache::try_get`] re-runs the full
-    /// ladder; the failure accounting matches the Arc fast path exactly).
+    /// pessimistic path; [`SharedPageCache::read`] does that in one call.
     pub fn guard_get(&self, worker: usize, page: PageId) -> Option<PageGuard<'_, T>> {
-        match self.guard_acquire(worker, page) {
-            Ok(g) => Some(g),
-            Err(retries) => {
-                self.note_opt_failure(worker, retries);
-                None
-            }
-        }
-    }
-
-    /// As [`SharedPageCache::guard_get`], chained into a descent: after
-    /// the child validates, the parent link recorded in `chain` is
-    /// revalidated. An unchanged parent shard version extends the chain
-    /// ([`OptStats::coupled`]); a version advance with the parent still
-    /// mirrored repairs it in place ([`OptStats::renewed`]); a vanished
-    /// parent breaks it — the child guard is dropped, the chain resets,
-    /// and `None` sends the caller to the pessimistic path for this page.
-    /// On success `chain` is advanced to the returned page, so a
-    /// root-to-leaf descent forms one validation chain.
-    pub fn guard_get_coupled(
-        &self,
-        worker: usize,
-        page: PageId,
-        chain: &mut OptCoupling,
-    ) -> Option<PageGuard<'_, T>> {
-        let guard = match self.guard_acquire(worker, page) {
-            Ok(g) => g,
-            Err(retries) => {
-                self.note_opt_failure(worker, retries);
-                *chain = OptCoupling::root();
-                return None;
-            }
-        };
-        let s = &self.stats[worker];
-        if let Some(link) = chain.link {
-            if self.shards[link.shard].version.load(Ordering::SeqCst) == link.version {
-                s.coupled.fetch_add(1, Ordering::Relaxed);
-            } else if self.still_mirrored(link.shard, link.page) {
-                s.renewed.fetch_add(1, Ordering::Relaxed);
-            } else {
-                // The parent left its shard mid-descent. The pages are
-                // frozen, but the protocol treats a broken chain as a
-                // failed validation: drop the child pin and let the
-                // caller re-read pessimistically, restarting the chain.
-                s.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
-                *chain = OptCoupling::root();
-                drop(guard);
-                return None;
-            }
-        }
-        *chain = guard.coupling();
+        let guard = self.guard_acquire(worker, page)?;
+        self.stats[worker]
+            .guard_hits
+            .fetch_add(1, Ordering::Relaxed);
         Some(guard)
     }
 
-    /// Whether `page` is still published in `shard`'s mirror with the
-    /// shard at rest across the probe — i.e. a broken-version chain link
-    /// can be *renewed* (the parent never left) rather than broken.
-    fn still_mirrored(&self, shard_idx: usize, page: PageId) -> bool {
-        let shard = &self.shards[shard_idx];
-        let v = shard.version.load(Ordering::SeqCst);
-        if !v.is_multiple_of(2) {
-            return false;
-        }
-        let tag = Shard::<T>::tag_of(page);
-        let base = shard.slot_base(page);
-        let mask = shard.mirror.len() - 1;
-        for i in 0..MIRROR_PROBE {
-            let slot = &shard.mirror[(base + i) & mask];
-            if slot.tag.load(Ordering::Acquire) == tag {
-                return shard.version.load(Ordering::SeqCst) == v;
+    /// Looks up `page` through the guard read, falling back to the
+    /// pessimistic path (and `source` on a miss) when the pin fails.
+    /// Returns the page — borrowed on a guard hit, owned otherwise — and
+    /// how the request was satisfied. Errors as [`SharedPageCache::try_get`].
+    pub fn read<S>(
+        &self,
+        worker: usize,
+        page: PageId,
+        source: &S,
+    ) -> Result<(PageRef<'_, T>, SharedAccess), PageError>
+    where
+        S: PageSource<Item = T> + ?Sized,
+    {
+        match self.guard_get(worker, page) {
+            Some(guard) => {
+                let access = guard.access();
+                Ok((PageRef::Guard(guard), access))
+            }
+            None => {
+                let (value, access) = self.pessimistic_get(worker, page, source)?;
+                Ok((PageRef::Owned(value), access))
             }
         }
-        false
     }
-
     /// Looks up `page`, fetching it from `source` on a miss. Returns the
     /// cached value and how the request was satisfied.
     ///
@@ -1068,14 +925,14 @@ impl<T> SharedPageCache<T> {
     where
         S: PageSource<Item = T> + ?Sized,
     {
-        // Fast path: version-validated read against the shard's mirror, no
-        // mutex. Falls through on a clean miss (page not mirrored) or
-        // after OPT_ATTEMPTS failed validations.
-        match self.opt_get(worker, page) {
-            Ok(hit) => return Ok(hit),
-            Err(retries) => self.note_opt_failure(worker, retries),
+        // Fast path: pin without the mutex, clone the Arc under the pin.
+        match self.guard_acquire(worker, page) {
+            Some(guard) => {
+                self.stats[worker].opt_hits.fetch_add(1, Ordering::Relaxed);
+                Ok((guard.to_arc(), guard.access()))
+            }
+            None => self.pessimistic_get(worker, page, source),
         }
-        self.pessimistic_get(worker, page, source)
     }
 
     /// As [`SharedPageCache::try_get`] but skipping the optimistic fast

@@ -93,27 +93,21 @@ impl BufferStats {
 /// say *how* the read path got there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptStats {
-    /// Hits served without taking the shard mutex (version validated).
+    /// [`SharedPageCache::try_get`](crate::SharedPageCache::try_get) hits
+    /// served without taking the shard mutex: a validated pin, then one
+    /// Arc clone.
     pub hits: u64,
     /// Validation failures: the shard version moved (or a writer was
     /// active) between snapshot and validation, and the read was retried.
     pub retries: u64,
     /// Reads that exhausted their validation attempts and fell back to the
-    /// pessimistic mutex path — including guard descents whose coupling
-    /// chain broke (parent evicted mid-descent).
+    /// pessimistic mutex path.
     pub fallbacks: u64,
     /// Borrowing-guard reads ([`PageGuard`](crate::PageGuard)) served with
     /// neither shard mutex nor Arc clone. Disjoint from `hits`: a read is
     /// counted as exactly one of the two depending on which entry point
     /// served it.
     pub guard_hits: u64,
-    /// Coupled descents: a child guard whose parent link validated with
-    /// the parent shard's version unchanged (the cross-level fast path).
-    pub coupled: u64,
-    /// Chain repairs: the parent's shard version advanced but the parent
-    /// page itself was still resident, so the chain was renewed in place
-    /// instead of broken.
-    pub renewed: u64,
 }
 
 impl OptStats {
@@ -124,8 +118,6 @@ impl OptStats {
             retries: self.retries + other.retries,
             fallbacks: self.fallbacks + other.fallbacks,
             guard_hits: self.guard_hits + other.guard_hits,
-            coupled: self.coupled + other.coupled,
-            renewed: self.renewed + other.renewed,
         }
     }
 
@@ -137,8 +129,6 @@ impl OptStats {
             retries: self.retries - earlier.retries,
             fallbacks: self.fallbacks - earlier.fallbacks,
             guard_hits: self.guard_hits - earlier.guard_hits,
-            coupled: self.coupled - earlier.coupled,
-            renewed: self.renewed - earlier.renewed,
         }
     }
 }
@@ -154,16 +144,12 @@ mod tests {
             retries: 1,
             fallbacks: 0,
             guard_hits: 4,
-            coupled: 3,
-            renewed: 1,
         };
         let b = OptStats {
             hits: 2,
             retries: 0,
             fallbacks: 1,
             guard_hits: 1,
-            coupled: 0,
-            renewed: 0,
         };
         let m = a.merged(&b);
         assert_eq!(
@@ -173,8 +159,6 @@ mod tests {
                 retries: 1,
                 fallbacks: 1,
                 guard_hits: 5,
-                coupled: 3,
-                renewed: 1,
             }
         );
         assert_eq!(m.since(&b), a);

@@ -6,7 +6,7 @@
 //! replaced page — cannot go unnoticed.
 
 use proptest::prelude::*;
-use psj_buffer::{OptCoupling, PageSource, Policy, SharedPageCache};
+use psj_buffer::{PageSource, Policy, SharedPageCache};
 use psj_store::{PageError, PageId};
 
 /// A page payload whose consistency is checkable on every read (same
@@ -115,82 +115,6 @@ fn holding_a_guard_while_evicting_its_page_neither_blocks_nor_tears() {
         .expect("graveyard drains once pins drop");
 }
 
-/// Coupled descent over a single shard: an unchanged version extends the
-/// chain, an eviction of a *different* page renews it, and an eviction of
-/// the linked parent breaks it (child re-read pessimistically).
-#[test]
-fn coupling_chains_extend_renew_and_break() {
-    let cache: SharedPageCache<Checked> = SharedPageCache::new(1, 3, 1, Policy::Lru);
-    let src = CheckedSource { pages: 64 };
-    for p in 0..3 {
-        cache.get(0, PageId(p), &src);
-    }
-
-    // Root then child with the shard untouched: the chain couples.
-    let mut chain = OptCoupling::root();
-    let g0 = cache
-        .guard_get_coupled(0, PageId(0), &mut chain)
-        .expect("root link");
-    verify(0, &g0);
-    drop(g0);
-    let g1 = cache
-        .guard_get_coupled(0, PageId(1), &mut chain)
-        .expect("coupled link");
-    verify(1, &g1);
-    drop(g1);
-    assert_eq!(cache.opt_stats().coupled, 1);
-
-    // Renewal: make page 1 (the linked parent) recently used, then evict
-    // some *other* page with a cold fill. The shard version advances but
-    // the parent is still resident, so the chain repairs in place.
-    // `try_get_locked` skips the optimistic path, so the hit promotes the
-    // parent in the replacement order deterministically.
-    let (_, _) = cache
-        .try_get_locked(0, PageId(1), &src)
-        .expect("touch parent");
-    cache.get(0, PageId(40), &src);
-    assert!(cache.contains(PageId(1)), "parent survived the cold fill");
-    let survivor = (0..3)
-        .map(PageId)
-        .find(|p| *p != PageId(1) && cache.contains(*p))
-        .expect("capacity 3 keeps another original page");
-    let g2 = cache
-        .guard_get_coupled(0, survivor, &mut chain)
-        .expect("renewed link");
-    verify(survivor.0, &g2);
-    drop(g2);
-    let opt = cache.opt_stats();
-    assert_eq!(opt.renewed, 1, "version moved but the parent never left");
-    assert_eq!(opt.fallbacks, 0);
-
-    // Break: evict the linked parent itself, then try to extend the chain.
-    // The child read is refused (per-page pessimistic fallback) and the
-    // chain resets to root.
-    let parent = survivor;
-    let mut cold = 41u32;
-    while cache.contains(parent) {
-        cache.get(0, PageId(cold), &src);
-        cold += 1;
-    }
-    let still = (0..64u32)
-        .map(PageId)
-        .find(|p| cache.contains(*p))
-        .expect("something is resident");
-    assert!(
-        cache.guard_get_coupled(0, still, &mut chain).is_none(),
-        "a broken chain refuses the child guard"
-    );
-    let opt = cache.opt_stats();
-    assert_eq!(opt.fallbacks, 1, "the broken chain counts as a fallback");
-    // The reset chain starts fresh and couples again.
-    let g3 = cache
-        .guard_get_coupled(0, still, &mut chain)
-        .expect("fresh root after reset");
-    verify(still.0, &g3);
-    drop(g3);
-    cache.check_invariants().expect("invariants");
-}
-
 /// Satellite: optimistic hits skip LRU promotion, so without the sampled
 /// touch a hammered page looks idle and cold fills evict it. Every
 /// `TOUCH_SAMPLE`-th optimistic hit re-touches under the mutex; a page
@@ -236,7 +160,7 @@ fn hammered_page_survives_cold_churn_via_sampled_touch() {
 /// while churn threads sweep a cold range through a small cache, evicting
 /// hot pages out from under the pins. Checks: a held guard never observes
 /// a torn or stale payload (the graveyard defers frees past the last
-/// deref), guard hits and coupled links happen under churn, and the
+/// deref), guard hits happen under churn, and the
 /// structural invariants (including an empty graveyard) hold at rest.
 #[test]
 fn guards_survive_concurrent_eviction_churn() {
@@ -256,10 +180,9 @@ fn guards_survive_concurrent_eviction_churn() {
         for r in 0..READERS {
             let (cache, src) = (&cache, &src);
             s.spawn(move || {
-                let mut chain = OptCoupling::root();
                 for i in 0..4000usize {
                     let p = ((i + r) % HOT as usize) as u32;
-                    match cache.guard_get_coupled(r, PageId(p), &mut chain) {
+                    match cache.guard_get(r, PageId(p)) {
                         Some(guard) => {
                             verify(p, &guard);
                             // Hold the pin across a reschedule so churners
@@ -305,7 +228,6 @@ fn guards_survive_concurrent_eviction_churn() {
     cache.check_invariants().expect("invariants after churn");
     let opt = cache.opt_stats();
     assert!(opt.guard_hits > 0, "hot pages must serve guard hits");
-    assert!(opt.coupled > 0, "descent chains must couple under churn");
     assert!(cache.total_stats().evictions > 0, "cold sweep must evict");
 }
 

@@ -234,8 +234,28 @@ pub fn stats(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// Every option and flag `psj join` accepts.
+const JOIN_KEYS: &[&str] = &[
+    "tree1",
+    "tree2",
+    "threads",
+    "no-refine",
+    "morsel-cands",
+    "steal",
+    "steal-seed",
+    "engine",
+    "cache",
+    "cache-org",
+    "cache-shards",
+    "inject-faults",
+    "retry-attempts",
+    "trace",
+    "tasks",
+];
+
 /// `psj join` — native multithreaded join of two persisted trees.
 pub fn join(args: &Args) -> CmdResult {
+    args.reject_unknown(JOIN_KEYS)?;
     let a = PagedTree::load_from(Path::new(args.require("tree1")?)).map_err(io_err)?;
     let b = PagedTree::load_from(Path::new(args.require("tree2")?)).map_err(io_err)?;
     let threads: usize = args.parse_or(
@@ -1783,6 +1803,17 @@ mod tests {
 
     fn args(argv: &[&str]) -> Args {
         Args::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn join_rejects_unknown_flags_before_loading_trees() {
+        for flag in ["--totally-bogus", "--cache-size", "--refine"] {
+            let err = join(&args(&[
+                "--tree1", "a.psjt", "--tree2", "b.psjt", flag, "5",
+            ]))
+            .unwrap_err();
+            assert_eq!(err, format!("unknown option {flag}"));
+        }
     }
 
     #[test]

@@ -1,19 +1,13 @@
 //! Work-stealing task queues for the native executor.
 //!
 //! A std-only replacement for `crossbeam::deque` (unavailable in offline
-//! builds) with the same shape: a shared [`Injector`], per-worker LIFO
-//! [`Worker`] deques, and [`Stealer`] handles that take half a victim's
-//! pending work. Workers push and pop at the back (depth-first descent in
-//! plane-sweep order); thieves take from the front, which steals the
-//! *largest* subtrees first — the same reassignment heuristic as the
-//! paper's "task with the highest level" victim selection.
+//! builds): a shared FIFO [`Injector`] and per-worker [`MorselQueue`]s
+//! whose thieves reassign one morsel at a time.
 //!
-//! Implementation is a `Mutex<VecDeque>` per queue. Locks are never nested:
-//! a batch steal pops under the victim's lock into a local buffer, releases
-//! it, then refills the thief under its own lock, so cyclic steals cannot
-//! deadlock. Every lock goes through [`psj_store::lock_clean`]: a worker
-//! that panics mid-morsel must not poison the queues and abort the sibling
-//! workers — the queues are structurally valid across a panic (a morsel is
+//! Implementation is a `Mutex<VecDeque>` per queue. Locks are never
+//! nested, so cyclic steals cannot deadlock. Every lock goes through
+//! [`psj_store::lock_clean`]: a worker that panics mid-morsel must not
+//! poison the queues and abort the sibling workers — the queues are structurally valid across a panic (a morsel is
 //! either still queued or already handed out), so the survivors drain the
 //! rest and the panic is surfaced as a typed error by the driver. For the
 //! join workloads measured here, queue operations are a negligible fraction
@@ -22,7 +16,7 @@
 
 use psj_store::lock_clean;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Outcome of a steal attempt (mirrors `crossbeam::deque::Steal`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,85 +62,7 @@ impl<T> Injector<T> {
         }
     }
 
-    /// Moves a batch of tasks into `worker`'s deque and pops one of them.
-    pub fn steal_batch_and_pop(&self, worker: &Worker<T>) -> Steal<T> {
-        let batch = {
-            let mut q = lock_clean(&self.q);
-            let n = q.len().div_ceil(2).min(BATCH_LIMIT);
-            q.drain(..n).collect::<Vec<_>>()
-        };
-        refill(worker, batch)
-    }
-
     /// Whether the queue was observed empty.
-    pub fn is_empty(&self) -> bool {
-        lock_clean(&self.q).is_empty()
-    }
-}
-
-const BATCH_LIMIT: usize = 32;
-
-/// A worker's own LIFO deque.
-#[derive(Debug)]
-pub struct Worker<T> {
-    q: Arc<Mutex<VecDeque<T>>>,
-}
-
-impl<T> Worker<T> {
-    /// An empty LIFO worker deque.
-    pub fn new_lifo() -> Self {
-        Worker {
-            q: Arc::new(Mutex::new(VecDeque::new())),
-        }
-    }
-
-    /// Pushes a task onto the owner's end.
-    pub fn push(&self, task: T) {
-        lock_clean(&self.q).push_back(task);
-    }
-
-    /// Pops the most recently pushed task (depth-first order).
-    pub fn pop(&self) -> Option<T> {
-        lock_clean(&self.q).pop_back()
-    }
-
-    /// A handle other workers can steal through.
-    pub fn stealer(&self) -> Stealer<T> {
-        Stealer {
-            q: Arc::clone(&self.q),
-        }
-    }
-}
-
-/// A stealing handle onto some worker's deque.
-#[derive(Debug)]
-pub struct Stealer<T> {
-    q: Arc<Mutex<VecDeque<T>>>,
-}
-
-impl<T> Clone for Stealer<T> {
-    fn clone(&self) -> Self {
-        Stealer {
-            q: Arc::clone(&self.q),
-        }
-    }
-}
-
-impl<T> Stealer<T> {
-    /// Steals half the victim's tasks (oldest first — the biggest pending
-    /// subtrees) into `worker`'s deque and pops one.
-    pub fn steal_batch_and_pop(&self, worker: &Worker<T>) -> Steal<T> {
-        let batch = {
-            let mut q = lock_clean(&self.q);
-            let n = (q.len() / 2)
-                .max(usize::from(!q.is_empty()))
-                .min(BATCH_LIMIT);
-            q.drain(..n).collect::<Vec<_>>()
-        };
-        refill(worker, batch)
-    }
-
-    /// Whether the victim's deque was observed empty.
     pub fn is_empty(&self) -> bool {
         lock_clean(&self.q).is_empty()
     }
@@ -159,10 +75,10 @@ impl<T> Stealer<T> {
 /// are what make steal accounting reconcile: every acquisition is either an
 /// owner pop, a shared-queue pop, or one recorded steal.
 ///
-/// Unlike [`Worker`]/[`Stealer`], nothing is ever pushed after execution
-/// starts (workers keep task descendants on a private stack), so queue
-/// lengths only shrink — a worker observing every queue empty can retire
-/// without a termination barrier.
+/// Nothing is ever pushed after execution starts (workers keep task
+/// descendants on a private stack), so queue lengths only shrink — a
+/// worker observing every queue empty can retire without a termination
+/// barrier.
 #[derive(Debug)]
 pub struct MorselQueue<T> {
     q: Mutex<VecDeque<T>>,
@@ -208,39 +124,10 @@ impl<T> MorselQueue<T> {
     }
 }
 
-/// Installs a stolen batch into `worker` and pops one task from it.
-fn refill<T>(worker: &Worker<T>, mut batch: Vec<T>) -> Steal<T> {
-    match batch.pop() {
-        None => Steal::Empty,
-        Some(t) => {
-            if !batch.is_empty() {
-                let mut q = lock_clean(&worker.q);
-                // Preserve front-to-back order under the existing work.
-                for task in batch {
-                    q.push_back(task);
-                }
-            }
-            Steal::Success(t)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-
-    #[test]
-    fn worker_is_lifo() {
-        let w = Worker::new_lifo();
-        w.push(1);
-        w.push(2);
-        w.push(3);
-        assert_eq!(w.pop(), Some(3));
-        assert_eq!(w.pop(), Some(2));
-        assert_eq!(w.pop(), Some(1));
-        assert_eq!(w.pop(), None);
-    }
 
     #[test]
     fn injector_is_fifo() {
@@ -251,37 +138,6 @@ mod tests {
         assert_eq!(inj.steal(), Steal::Success('b'));
         assert_eq!(inj.steal(), Steal::Empty);
         assert!(inj.is_empty());
-    }
-
-    #[test]
-    fn steal_batch_moves_half_and_pops() {
-        let victim = Worker::new_lifo();
-        for i in 0..8 {
-            victim.push(i);
-        }
-        let thief = Worker::new_lifo();
-        let got = victim.stealer().steal_batch_and_pop(&thief);
-        assert!(matches!(got, Steal::Success(_)));
-        // Half of 8 = 4 moved: one returned, three left in the thief's deque.
-        let mut thief_tasks = Vec::new();
-        while let Some(t) = thief.pop() {
-            thief_tasks.push(t);
-        }
-        assert_eq!(thief_tasks.len(), 3);
-        let mut rest = Vec::new();
-        while let Some(t) = victim.pop() {
-            rest.push(t);
-        }
-        assert_eq!(rest.len(), 4);
-    }
-
-    #[test]
-    fn steal_from_empty_is_empty() {
-        let victim: Worker<u32> = Worker::new_lifo();
-        let thief = Worker::new_lifo();
-        assert_eq!(victim.stealer().steal_batch_and_pop(&thief), Steal::Empty);
-        let inj: Injector<u32> = Injector::new();
-        assert_eq!(inj.steal_batch_and_pop(&thief), Steal::Empty);
     }
 
     #[test]
@@ -344,33 +200,18 @@ mod tests {
         for i in 0..TASKS {
             inj.push(i);
         }
-        let workers: Vec<Worker<usize>> = (0..THREADS).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<usize>> = workers.iter().map(|w| w.stealer()).collect();
         let seen: Mutex<BTreeSet<usize>> = Mutex::new(BTreeSet::new());
         std::thread::scope(|scope| {
-            for (id, w) in workers.iter().enumerate() {
+            for _ in 0..THREADS {
                 let inj = &inj;
-                let stealers = &stealers;
                 let seen = &seen;
                 scope.spawn(move || {
                     let mut local = Vec::new();
                     loop {
-                        let task = w.pop().or_else(|| {
-                            if let Steal::Success(t) = inj.steal_batch_and_pop(w) {
-                                return Some(t);
-                            }
-                            for k in 1..THREADS {
-                                if let Steal::Success(t) =
-                                    stealers[(id + k) % THREADS].steal_batch_and_pop(w)
-                                {
-                                    return Some(t);
-                                }
-                            }
-                            None
-                        });
-                        match task {
-                            Some(t) => local.push(t),
-                            None => break,
+                        match inj.steal() {
+                            Steal::Success(t) => local.push(t),
+                            Steal::Empty => break,
+                            Steal::Retry => continue,
                         }
                     }
                     let mut set = seen.lock().unwrap();

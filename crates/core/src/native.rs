@@ -61,10 +61,7 @@ use crate::metrics::{TaskOrigin, TaskTrace};
 use crate::morsel::{morselize, Morsel, MorselOptions, StealPolicy};
 use crate::sim::BufferOrg;
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
-use psj_buffer::{
-    BufferStats, FaultSource, L1Front, L1Read, OptCoupling, PageGuard, PageSource, Policy,
-    SharedPageCache,
-};
+use psj_buffer::{BufferStats, FaultSource, L1Front, PageRef, PageSource, Policy, SharedPageCache};
 use psj_desim::StealOrder;
 use psj_obs::trace::{worker_tid, TID_MAIN};
 use psj_obs::{ThreadTracer, TraceSink};
@@ -382,13 +379,11 @@ impl PageSource for Source<'_> {
     }
 }
 
-/// A node obtained by direct reference into a frozen tree, as a cached
-/// decode owned by the page cache, or as a borrowing pin-guarded read out
-/// of the cache's mirror (no Arc clone, no shard mutex).
+/// A node obtained by direct reference into a frozen tree, or read through
+/// the page cache (a pin-guarded borrow or an owned decode).
 enum NodeRef<'t> {
     Borrowed(&'t Node),
-    Cached(Arc<Node>),
-    Guarded(PageGuard<'t, Node>),
+    Cached(PageRef<'t, Node>),
 }
 
 impl std::ops::Deref for NodeRef<'_> {
@@ -399,19 +394,6 @@ impl std::ops::Deref for NodeRef<'_> {
         match self {
             NodeRef::Borrowed(n) => n,
             NodeRef::Cached(n) => n,
-            NodeRef::Guarded(g) => g,
-        }
-    }
-}
-
-impl<'t> NodeRef<'t> {
-    /// Collapses an L1 lookup outcome: front/pessimistic reads are owned
-    /// `Arc`s, guard reads keep the borrow (the pin drops with the ref).
-    #[inline]
-    fn from_l1(read: L1Read<'t, Node>) -> Self {
-        match read {
-            L1Read::Front(n) | L1Read::Shared(n, _) => NodeRef::Cached(n),
-            L1Read::Guard(g) => NodeRef::Guarded(g),
         }
     }
 }
@@ -424,17 +406,10 @@ struct NodeFetcher<'t> {
     a: &'t PagedTree,
     b: &'t PagedTree,
     source: Source<'t>,
-    /// `(cache, stats index)` — the stats index is the worker id for the
-    /// shared cache and 0 for a private one.
-    cache: Option<(&'t SharedPageCache<Node>, usize)>,
-    /// Present exactly when `cache` is. Exclusive to this worker's thread.
-    l1: Option<L1Front<Node>>,
-    /// Per-tree coupling tokens: consecutive guarded reads of the same
-    /// tree chain parent→child seqlock validation across levels of the
-    /// depth-first descent. A broken chain resets per tree; the other
-    /// tree's descent is unaffected.
-    couple_a: OptCoupling,
-    couple_b: OptCoupling,
+    /// `(cache, stats index, L1 front)` — the stats index is the worker id
+    /// for the shared cache and 0 for a private one; the front is
+    /// exclusive to this worker's thread.
+    cache: Option<(&'t SharedPageCache<Node>, usize, L1Front<Node>)>,
 }
 
 /// Slots in each worker's L1 front. Covers a join's working set of hot
@@ -444,38 +419,21 @@ const L1_SLOTS: usize = 64;
 impl<'t> NodeFetcher<'t> {
     #[inline]
     fn node_a(&mut self, page: PageId) -> Result<NodeRef<'t>, PageError> {
-        match self.cache {
+        match &mut self.cache {
             None => Ok(NodeRef::Borrowed(self.a.node(page))),
-            Some((cache, w)) => match &mut self.l1 {
-                Some(l1) => l1
-                    .try_get_coupled(cache, w, page, &mut self.couple_a, &self.source)
-                    .map(NodeRef::from_l1),
-                None => match cache.guard_get_coupled(w, page, &mut self.couple_a) {
-                    Some(g) => Ok(NodeRef::Guarded(g)),
-                    None => cache
-                        .try_get(w, page, &self.source)
-                        .map(|(n, _)| NodeRef::Cached(n)),
-                },
-            },
+            Some((cache, w, l1)) => l1
+                .read(cache, *w, page, &self.source)
+                .map(|(n, _)| NodeRef::Cached(n)),
         }
     }
 
     #[inline]
     fn node_b(&mut self, page: PageId) -> Result<NodeRef<'t>, PageError> {
-        let tagged = PageId(page.0 | TREE_B_TAG);
-        match self.cache {
+        match &mut self.cache {
             None => Ok(NodeRef::Borrowed(self.b.node(page))),
-            Some((cache, w)) => match &mut self.l1 {
-                Some(l1) => l1
-                    .try_get_coupled(cache, w, tagged, &mut self.couple_b, &self.source)
-                    .map(NodeRef::from_l1),
-                None => match cache.guard_get_coupled(w, tagged, &mut self.couple_b) {
-                    Some(g) => Ok(NodeRef::Guarded(g)),
-                    None => cache
-                        .try_get(w, tagged, &self.source)
-                        .map(|(n, _)| NodeRef::Cached(n)),
-                },
-            },
+            Some((cache, w, l1)) => l1
+                .read(cache, *w, PageId(page.0 | TREE_B_TAG), &self.source)
+                .map(|(n, _)| NodeRef::Cached(n)),
         }
     }
 
@@ -483,12 +441,10 @@ impl<'t> NodeFetcher<'t> {
     /// every front hit up to this call is included — segment deltas taken
     /// from consecutive calls reconcile exactly with the run aggregates.
     fn synced_stats(&mut self) -> BufferStats {
-        match self.cache {
-            Some((c, w)) => {
-                if let Some(l1) = &mut self.l1 {
-                    l1.flush(c, w);
-                }
-                c.stats(w)
+        match &mut self.cache {
+            Some((c, w, l1)) => {
+                l1.flush(c, *w);
+                c.stats(*w)
             }
             None => BufferStats::default(),
         }
@@ -853,7 +809,6 @@ fn run_with_caches(
             let tracer = ctl.trace.as_ref().map(|t| t.tracer(worker_tid(id)));
             handles.push(scope.spawn(move || {
                 let join_source = JoinSource { a, b };
-                let cache = caches.for_worker(id);
                 let mut fetcher = NodeFetcher {
                     a,
                     b,
@@ -861,10 +816,9 @@ fn run_with_caches(
                         Some(plan) => Source::Faulted(FaultSource::new(join_source, plan)),
                         None => Source::Plain(join_source),
                     },
-                    cache,
-                    l1: cache.map(|_| L1Front::new(L1_SLOTS)),
-                    couple_a: OptCoupling::root(),
-                    couple_b: OptCoupling::root(),
+                    cache: caches
+                        .for_worker(id)
+                        .map(|(c, w)| (c, w, L1Front::new(L1_SLOTS))),
                 };
                 run_worker(
                     id,

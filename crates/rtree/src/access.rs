@@ -19,8 +19,7 @@ use std::ops::Deref;
 /// A source of read-only node borrows, keyed by page number.
 ///
 /// `read` takes `&mut self` so implementations can carry per-traversal state
-/// (an optimistic coupling token, per-worker statistics) without interior
-/// mutability.
+/// (a read counter, say) without interior mutability.
 pub trait NodeAccess {
     /// The borrowed form a node read returns; dropped before the traversal
     /// reads its next page.

@@ -29,7 +29,7 @@
 //! returns a silently partial result: if any page it touched was
 //! unreadable, the whole query reports the storage error.
 
-use psj_buffer::{OptCoupling, PageGuard, SharedPageCache};
+use psj_buffer::{PageRef, SharedPageCache};
 use psj_core::{
     try_run_join, CancelToken, JoinEngine, NativeConfig, NativeError, RunControl, StealPolicy,
 };
@@ -144,78 +144,28 @@ impl psj_buffer::PageSource for TreeSet {
     }
 }
 
-/// One node read out of the query cache: a borrowing pin-guarded read when
-/// the page is resident and uncontended (no Arc clone, no shard mutex), an
-/// owned value off the fallback ladder otherwise. Either way the borrow
-/// lives only as long as the traversal looks at the node.
-pub enum PageRead<'c> {
-    /// Served by a coupled optimistic guard.
-    Guard(PageGuard<'c, Node>),
-    /// Served by the shared cache's optimistic-retry or pessimistic path.
-    Owned(Arc<Node>),
-}
-
-impl std::ops::Deref for PageRead<'_> {
-    type Target = Node;
-
-    #[inline]
-    fn deref(&self) -> &Node {
-        match self {
-            PageRead::Guard(g) => g,
-            PageRead::Owned(n) => n,
-        }
-    }
-}
-
 /// Cache-backed [`NodeAccess`] over one tree of a [`TreeSet`]: every read
-/// first tries a coupled guard (each page's seqlock validation re-checks
-/// the previously read page's version, extending validity across levels of
-/// the descent), falling back per page to the pessimistic path. Carries
-/// the per-traversal coupling chain, so one `CachedNodes` value serves one
-/// query descent.
+/// is a [`SharedPageCache::read`] — a borrowing pin-guarded read when the
+/// page is resident and uncontended (no Arc clone, no shard mutex), an
+/// owned value off the pessimistic path otherwise.
 struct CachedNodes<'c> {
     trees: &'c TreeSet,
     cache: &'c SharedPageCache<Node>,
     worker: usize,
     tree: usize,
-    chain: OptCoupling,
-}
-
-impl<'c> CachedNodes<'c> {
-    fn new(
-        trees: &'c TreeSet,
-        cache: &'c SharedPageCache<Node>,
-        worker: usize,
-        tree: usize,
-    ) -> Self {
-        CachedNodes {
-            trees,
-            cache,
-            worker,
-            tree,
-            chain: OptCoupling::root(),
-        }
-    }
 }
 
 impl NodeAccess for CachedNodes<'_> {
     type Ref<'a>
-        = PageRead<'a>
+        = PageRef<'a, Node>
     where
         Self: 'a;
 
-    fn read(&mut self, page: PageId) -> Result<PageRead<'_>, PageError> {
+    fn read(&mut self, page: PageId) -> Result<PageRef<'_, Node>, PageError> {
         let key = self.trees.key(self.tree, page);
-        match self
-            .cache
-            .guard_get_coupled(self.worker, key, &mut self.chain)
-        {
-            Some(g) => Ok(PageRead::Guard(g)),
-            None => self
-                .cache
-                .try_get(self.worker, key, self.trees)
-                .map(|(n, _)| PageRead::Owned(n)),
-        }
+        self.cache
+            .read(self.worker, key, self.trees)
+            .map(|(n, _)| n)
     }
 }
 
@@ -309,7 +259,12 @@ pub fn window_batch(
     if live.is_empty() {
         return out;
     }
-    let mut access = CachedNodes::new(trees, cache, worker, tree_idx);
+    let mut access = CachedNodes {
+        trees,
+        cache,
+        worker,
+        tree: tree_idx,
+    };
     let mut stack: Vec<(PageId, Vec<u16>)> = vec![(t.root(), live)];
     while let Some((page, live)) = stack.pop() {
         if next_deadline.is_some_and(|d| Instant::now() >= d) {
@@ -409,7 +364,12 @@ pub fn nearest(
     if k == 0 || t.is_empty() {
         return Outcome::Ok(out);
     }
-    let mut access = CachedNodes::new(trees, cache, worker, tree_idx);
+    let mut access = CachedNodes {
+        trees,
+        cache,
+        worker,
+        tree: tree_idx,
+    };
     if deadline.is_none() {
         // No deadline to check per node: the shared best-first descent from
         // the rtree crate runs straight through the guard-backed accessor.

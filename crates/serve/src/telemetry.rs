@@ -66,8 +66,6 @@ pub struct Telemetry {
     cache_opt_retries: Arc<Counter>,
     cache_opt_fallbacks: Arc<Counter>,
     cache_guard_hits: Arc<Counter>,
-    cache_opt_coupled: Arc<Counter>,
-    cache_opt_renewed: Arc<Counter>,
 }
 
 impl Default for Telemetry {
@@ -136,14 +134,6 @@ impl Default for Telemetry {
                 "psj_cache_guard_hits",
                 "Borrowing guard reads served with neither shard mutex nor Arc clone",
             ),
-            cache_opt_coupled: r.counter(
-                "psj_cache_opt_coupled",
-                "Guard reads whose parent coupling link validated unchanged",
-            ),
-            cache_opt_renewed: r.counter(
-                "psj_cache_opt_renewed",
-                "Guard couplings renewed in place after a parent-shard version bump",
-            ),
             registry: r,
         }
     }
@@ -183,10 +173,6 @@ pub struct GaugeSnapshot {
     pub cache_opt_fallbacks: u64,
     /// Borrowing guard reads (no shard mutex, no Arc clone).
     pub cache_guard_hits: u64,
-    /// Guard reads whose parent coupling link validated unchanged.
-    pub cache_opt_coupled: u64,
-    /// Guard couplings renewed in place after a parent-shard version bump.
-    pub cache_opt_renewed: u64,
 }
 
 impl Telemetry {
@@ -240,8 +226,6 @@ impl Telemetry {
         sync(&self.cache_opt_retries, snap.cache_opt_retries);
         sync(&self.cache_opt_fallbacks, snap.cache_opt_fallbacks);
         sync(&self.cache_guard_hits, snap.cache_guard_hits);
-        sync(&self.cache_opt_coupled, snap.cache_opt_coupled);
-        sync(&self.cache_opt_renewed, snap.cache_opt_renewed);
         self.registry.render_prometheus()
     }
 }
@@ -325,8 +309,6 @@ mod tests {
             cache_opt_retries: 7,
             cache_opt_fallbacks: 2,
             cache_guard_hits: 19,
-            cache_opt_coupled: 11,
-            cache_opt_renewed: 3,
             ..Default::default()
         });
         for name in [
@@ -334,8 +316,6 @@ mod tests {
             "psj_cache_opt_retries",
             "psj_cache_opt_fallbacks",
             "psj_cache_guard_hits",
-            "psj_cache_opt_coupled",
-            "psj_cache_opt_renewed",
         ] {
             assert!(
                 text.contains(&format!("# TYPE {name} counter")),
@@ -355,13 +335,10 @@ mod tests {
             cache_opt_retries: 7,
             cache_opt_fallbacks: 4,
             cache_guard_hits: 31,
-            cache_opt_coupled: 12,
-            cache_opt_renewed: 3,
             ..Default::default()
         });
         assert!(text2.contains("psj_cache_opt_hits 55"), "{text2}");
         assert!(text2.contains("psj_cache_opt_fallbacks 4"), "{text2}");
         assert!(text2.contains("psj_cache_guard_hits 31"), "{text2}");
-        assert!(text2.contains("psj_cache_opt_coupled 12"), "{text2}");
     }
 }

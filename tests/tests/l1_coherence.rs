@@ -93,9 +93,9 @@ fn eviction_invalidates_front_slots() {
     let src = Versioned::new();
     let mut l1 = L1Front::new(64);
 
-    let (v, a) = l1.try_get(&cache, 0, PageId(1), &src).unwrap();
+    let (v, a) = l1.read(&cache, 0, PageId(1), &src).unwrap();
     assert_eq!((*v, a), (1001, SharedAccess::Miss));
-    let (v, a) = l1.try_get(&cache, 0, PageId(1), &src).unwrap();
+    let (v, a) = l1.read(&cache, 0, PageId(1), &src).unwrap();
     assert_eq!(
         (*v, a),
         (1001, SharedAccess::HitLocal),
@@ -103,17 +103,17 @@ fn eviction_invalidates_front_slots() {
     );
 
     // Evict page 1 by filling the shard with pages 2 and 3.
-    l1.try_get(&cache, 0, PageId(2), &src).unwrap();
-    l1.try_get(&cache, 0, PageId(3), &src).unwrap();
+    l1.read(&cache, 0, PageId(2), &src).unwrap();
+    l1.read(&cache, 0, PageId(3), &src).unwrap();
     assert!(!cache.contains(PageId(1)), "page 1 must have been evicted");
 
     // The front still pins version 1001, but the generation bumped: the
     // probe must fall through to the shared cache and refetch version 1002.
-    let (v, a) = l1.try_get(&cache, 0, PageId(1), &src).unwrap();
+    let (v, a) = l1.read(&cache, 0, PageId(1), &src).unwrap();
     assert_eq!(*v, 1002, "stale pinned value served after eviction");
     assert_eq!(a, SharedAccess::Miss);
 
-    // Stats reconcile exactly: every try_get above is either a shared-cache
+    // Stats reconcile exactly: every read above is either a shared-cache
     // access or a pending front hit; after flush, requests() covers all.
     let shared_before_flush = cache.stats(0).requests();
     let pending = l1.pending_hits();
@@ -121,7 +121,7 @@ fn eviction_invalidates_front_slots() {
     let stats = cache.stats(0);
     assert_eq!(stats.hits_l1, pending);
     assert_eq!(stats.requests(), shared_before_flush + pending);
-    assert_eq!(stats.requests(), 5, "five try_get calls, five accesses");
+    assert_eq!(stats.requests(), 5, "five reads, five accesses");
 }
 
 #[test]
@@ -137,10 +137,10 @@ fn quarantine_invalidates_front_slots() {
     let cache: SharedPageCache<u32> = SharedPageCache::new(1, 64, 1, Policy::Lru);
     let mut l1 = L1Front::new(16);
 
-    let (v, _) = l1.try_get(&cache, 0, bad, &src).unwrap();
+    let (v, _) = l1.read(&cache, 0, bad, &src).unwrap();
     assert_eq!(*v, 7);
     assert_eq!(
-        l1.try_get(&cache, 0, bad, &src).unwrap().1,
+        l1.read(&cache, 0, bad, &src).unwrap().1,
         SharedAccess::HitLocal
     );
 
@@ -149,13 +149,13 @@ fn quarantine_invalidates_front_slots() {
     // page, so the corruption can only surface on a cold fill).
     let cache2: SharedPageCache<u32> = SharedPageCache::new(1, 64, 1, Policy::Lru);
     let mut l1b = L1Front::new(16);
-    let err = l1b.try_get(&cache2, 0, bad, &src).unwrap_err();
+    let err = l1b.read(&cache2, 0, bad, &src).unwrap_err();
     assert!(err.is_corrupt(), "expected corrupt, got {err:?}");
     assert!(cache2.is_quarantined(bad));
 
     // The front never cached the failed fill, and subsequent probes keep
     // reporting the quarantine rather than fabricating a value.
-    let err = l1b.try_get(&cache2, 0, bad, &src).unwrap_err();
+    let err = l1b.read(&cache2, 0, bad, &src).unwrap_err();
     assert!(err.is_corrupt());
     assert_eq!(
         l1b.pending_hits(),
@@ -177,14 +177,14 @@ fn generation_bump_from_quarantine_expires_sibling_slots() {
     let cache: SharedPageCache<u32> = SharedPageCache::new(1, 64, 1, Policy::Lru);
     let mut l1 = L1Front::new(16);
 
-    l1.try_get(&cache, 0, PageId(5), &src).unwrap();
+    l1.read(&cache, 0, PageId(5), &src).unwrap();
     assert_eq!(
-        l1.try_get(&cache, 0, PageId(5), &src).unwrap().1,
+        l1.read(&cache, 0, PageId(5), &src).unwrap().1,
         SharedAccess::HitLocal
     );
     let generation_before = cache.shard_generation(PageId(5));
 
-    assert!(l1.try_get(&cache, 0, PageId(3), &src).is_err());
+    assert!(l1.read(&cache, 0, PageId(3), &src).is_err());
     assert!(cache.is_quarantined(PageId(3)));
     assert!(
         cache.shard_generation(PageId(5)) > generation_before,
@@ -194,7 +194,7 @@ fn generation_bump_from_quarantine_expires_sibling_slots() {
     // The slot for 5 is now stale-by-generation: the probe must fall
     // through to the shared cache instead of serving from the front.
     let pending_before = l1.pending_hits();
-    let (v, _) = l1.try_get(&cache, 0, PageId(5), &src).unwrap();
+    let (v, _) = l1.read(&cache, 0, PageId(5), &src).unwrap();
     assert_eq!(*v, 5);
     assert_eq!(
         l1.pending_hits(),
@@ -203,7 +203,7 @@ fn generation_bump_from_quarantine_expires_sibling_slots() {
     );
     // ...and the fall-through refilled the slot, so the next probe is a
     // front hit again.
-    l1.try_get(&cache, 0, PageId(5), &src).unwrap();
+    l1.read(&cache, 0, PageId(5), &src).unwrap();
     assert_eq!(l1.pending_hits(), pending_before + 1);
 }
 
@@ -271,7 +271,7 @@ fn fault_plan_churn_never_serves_stale_or_corrupt_values() {
         state ^= state >> 7;
         state ^= state << 17;
         let page = PageId((state % 48) as u32);
-        match l1.try_get(&cache, 0, page, &src) {
+        match l1.read(&cache, 0, page, &src) {
             Ok((v, _)) => {
                 oks += 1;
                 let latest = src.inner().version(page);
