@@ -1,4 +1,5 @@
-//! Work-stealing task queues for the native executor.
+//! Work-stealing task queues for the morsel scheduler both join engines
+//! share.
 //!
 //! A std-only replacement for `crossbeam::deque` (unavailable in offline
 //! builds): a shared FIFO [`Injector`] and per-worker [`MorselQueue`]s

@@ -56,6 +56,7 @@ pub mod morsel;
 pub mod native;
 pub mod partition;
 pub mod queries;
+mod sched;
 pub mod seq;
 pub mod shnothing;
 pub mod sim;
@@ -69,7 +70,7 @@ pub use estimate::{estimate_join, JoinEstimate};
 pub use metrics::{JoinMetrics, TaskOrigin, TaskTrace};
 pub use morsel::{morselize, Morsel, MorselOptions, MorselPlan, StealPolicy};
 pub use native::{
-    run_native_join, run_native_join_cancellable, run_native_join_with_cache, try_run_native_join,
+    run_native_join, run_native_join_with_cache, try_run_native_join,
     try_run_native_join_with_cache, BufferConfig, JoinError, NativeConfig, NativeError,
     NativeResult, RunControl,
 };

@@ -91,7 +91,7 @@ pub enum TaskOrigin {
     Steal,
 }
 
-/// Per-morsel attribution recorded by the native executor on every run:
+/// Per-morsel attribution recorded by the morsel scheduler on every run:
 /// what one morsel cost the worker that executed it. These are the
 /// quantities behind the paper's Figures 7–9 — per-processor page accesses,
 /// local vs. remote buffer hits, and the task-time skew that reassignment
@@ -102,8 +102,8 @@ pub enum TaskOrigin {
 pub struct TaskTrace {
     /// Worker that executed the task.
     pub worker: usize,
-    /// Morsel this segment executed: the native executor records exactly
-    /// one trace per acquired morsel, keyed by its plane-sweep id.
+    /// Morsel this segment executed: the scheduler records exactly one
+    /// trace per acquired morsel, keyed by its morsel id.
     pub morsel: u32,
     /// Phase-1 (post-split) tasks contained in the morsel.
     pub tasks: u32,

@@ -71,6 +71,15 @@ pub struct Morsel {
     pub est: u64,
 }
 
+impl crate::sched::Schedulable for Morsel {
+    fn id(&self) -> u32 {
+        self.id
+    }
+    fn est(&self) -> u64 {
+        self.est
+    }
+}
+
 /// Planner tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct MorselOptions {

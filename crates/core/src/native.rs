@@ -5,21 +5,21 @@
 //! KSR1 cost model), this executor is what a downstream user calls to
 //! actually join two indexed relations fast. Execution is **morsel-driven**
 //! (see [`crate::morsel`]): phase 1's tasks are regrouped into morsels of
-//! roughly equal *estimated candidate count*, dealt to the workers per the
-//! configured [`Assignment`], and executed whole — each worker keeps a
-//! morsel's task descendants on a private stack, so the shared queues only
-//! ever drain and no per-node-pair locking remains on the hot path. An
-//! idle worker performs the paper's dynamic task reassignment: it takes
-//! exactly one morsel from the victim chosen by [`StealPolicy`] (by
-//! default the measured-busiest worker, using the live `(remaining
-//! candidates, remaining morsels)` stats every queue publishes).
+//! roughly equal *estimated candidate count* and run on the morsel
+//! scheduler in `crate::sched`, which the partition engine shares. It deals
+//! the morsels per the configured [`Assignment`], lets an idle worker take
+//! exactly one morsel from the victim chosen by [`StealPolicy`] (the
+//! paper's dynamic task reassignment), contains a panicking morsel, and
+//! concatenates the morsel-local outputs in morsel-id order. This module
+//! supplies the per-morsel work: each worker keeps a morsel's task
+//! descendants on a private stack, so the shared queues only ever drain
+//! and no per-node-pair locking remains on the hot path.
 //!
-//! Each morsel's result pairs go to a morsel-local output buffer; the
-//! driver concatenates the buffers in morsel-id order, which makes the
-//! output **byte-identical to the sequential oracle** ([`crate::seq`]) at
-//! every thread count and under every steal interleaving (morsels hold
-//! contiguous runs of tasks in plane-sweep order, and the in-morsel
-//! traversal is the same depth-first sweep order the oracle uses).
+//! The merged output is **byte-identical to the sequential oracle**
+//! ([`crate::seq`]) at every thread count and under every steal
+//! interleaving: morsels hold contiguous runs of tasks in plane-sweep
+//! order, and the in-morsel traversal is the same depth-first sweep order
+//! the oracle uses.
 //!
 //! # Out-of-core execution
 //!
@@ -53,23 +53,21 @@
 //! parallel join never silently drops a subtree, so a storage error yields
 //! a typed error rather than a wrong answer.
 
-use crate::assign::{static_range, static_round_robin, Assignment};
-use crate::cancel::{CancelToken, Cancelled};
+use crate::assign::Assignment;
+use crate::cancel::CancelToken;
 use crate::cost::CandidateEstimator;
-use crate::deque::MorselQueue;
-use crate::metrics::{TaskOrigin, TaskTrace};
+use crate::metrics::TaskTrace;
 use crate::morsel::{morselize, Morsel, MorselOptions, StealPolicy};
+use crate::sched::{self, Halt, MorselBody, Segment, Status};
 use crate::sim::BufferOrg;
 use crate::task::{create_tasks, expand_pair, Candidate, KernelScratch, TaskPair};
 use psj_buffer::{BufferStats, FaultSource, L1Front, PageRef, PageSource, Policy, SharedPageCache};
-use psj_desim::StealOrder;
 use psj_obs::trace::{worker_tid, TID_MAIN};
-use psj_obs::{ThreadTracer, TraceSink};
+use psj_obs::TraceSink;
 use psj_rtree::{Node, PagedTree};
-use psj_store::{lock_clean, FaultPlan, PageError, PageId, RetryPolicy};
+use psj_store::{FaultPlan, PageError, PageId, RetryPolicy};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Buffered (out-of-core) execution settings for the native join.
@@ -307,7 +305,8 @@ pub struct NativeResult {
     /// exactly one [`TaskTrace`] per morsel.
     pub morsels: usize,
     /// Morsels acquired by reassignment — exactly one morsel per steal, so
-    /// this equals the number of traces with [`TaskOrigin::Steal`].
+    /// this equals the number of traces with
+    /// [`TaskOrigin::Steal`](crate::metrics::TaskOrigin::Steal).
     pub steals: u64,
     /// Aggregate page-cache statistics (`None` when unbuffered).
     pub buffer: Option<BufferStats>,
@@ -516,59 +515,6 @@ impl<'c> CacheSet<'c> {
     }
 }
 
-/// One worker's run output: completed morsels' result pairs (keyed by
-/// morsel id for the deterministic merge) and attribution segments.
-type WorkerOutput = (Vec<(u32, Vec<(u64, u64)>)>, Vec<TaskTrace>);
-
-/// Live load stats one worker's queue publishes for busiest-victim
-/// selection — the paper's `(hl, ns)`: remaining estimated candidates and
-/// remaining morsels. Decremented by whoever removes a morsel (owner or
-/// thief), so reads are at worst momentarily stale, never wrong in sum.
-#[derive(Default)]
-struct WorkerLoad {
-    est: AtomicU64,
-    morsels: AtomicU64,
-}
-
-/// Cross-worker failure state: the first unrecoverable page error raises
-/// `abort`; every worker bails out at its next loop iteration. Contained
-/// morsel panics are recorded here too, but deliberately do NOT raise
-/// `abort` — the point of catching them is that the rest of the plan still
-/// runs.
-#[derive(Default)]
-struct FailState {
-    abort: AtomicBool,
-    failed_tasks: AtomicU64,
-    first_error: Mutex<Option<PageError>>,
-    panics: AtomicU64,
-    first_panic: Mutex<Option<String>>,
-}
-
-impl FailState {
-    fn record(&self, error: PageError) {
-        self.failed_tasks.fetch_add(1, Ordering::Relaxed);
-        let mut slot = lock_clean(&self.first_error);
-        if slot.is_none() {
-            *slot = Some(error);
-        }
-        drop(slot);
-        self.abort.store(true, Ordering::SeqCst);
-    }
-
-    fn record_panic(&self, payload: &(dyn std::any::Any + Send)) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        let mut slot = lock_clean(&self.first_panic);
-        if slot.is_none() {
-            *slot = Some(msg);
-        }
-    }
-}
-
 /// Runs the join on real threads.
 ///
 /// # Panics
@@ -586,27 +532,6 @@ pub fn run_native_join(a: &PagedTree, b: &PagedTree, cfg: &NativeConfig) -> Nati
         &RunControl::default(),
     ) {
         Ok(res) => res,
-        Err(e) => unreachable!("in-memory join cannot fail: {e}"),
-    }
-}
-
-/// Runs the join on real threads with cooperative cancellation.
-///
-/// Every worker checks `cancel` once per node pair; when the token fires
-/// (deadline expiry or explicit [`CancelToken::cancel`]) all workers unwind
-/// within one task's worth of work and the call returns `Err(Cancelled)`,
-/// discarding partial results. This is the entry point a serving layer uses
-/// to enforce per-request deadlines on join queries.
-pub fn run_native_join_cancellable(
-    a: &PagedTree,
-    b: &PagedTree,
-    cfg: &NativeConfig,
-    cancel: &CancelToken,
-) -> Result<NativeResult, Cancelled> {
-    let ctl = RunControl::default().with_cancel(cancel);
-    match run_with_caches(a, b, cfg, CacheSet::build(cfg, ctl.retry, None), &ctl) {
-        Ok(res) => Ok(res),
-        Err(NativeError::Cancelled) => Err(Cancelled),
         Err(e) => unreachable!("in-memory join cannot fail: {e}"),
     }
 }
@@ -700,7 +625,6 @@ fn run_with_caches(
         a.pages().len() < TREE_B_TAG as usize && b.pages().len() < TREE_B_TAG as usize,
         "page id tag bit collision"
     );
-    let cancel = ctl.cancel;
     let trace = ctl.trace.as_ref();
     let join_start_ns = trace.map(|t| {
         t.set_thread_name(TID_MAIN, "join driver");
@@ -729,7 +653,7 @@ fn run_with_caches(
             ],
         );
     }
-    if let Some(token) = cancel {
+    if let Some(token) = ctl.cancel {
         token.check().map_err(|_| NativeError::Cancelled)?;
     }
 
@@ -756,91 +680,26 @@ fn run_with_caches(
         );
     }
 
-    let injector: MorselQueue<Morsel> = MorselQueue::new();
-    let queues: Vec<MorselQueue<Morsel>> =
-        (0..cfg.num_threads).map(|_| MorselQueue::new()).collect();
-    let loads: Vec<WorkerLoad> = (0..cfg.num_threads)
-        .map(|_| WorkerLoad::default())
-        .collect();
-    match cfg.assignment {
-        Assignment::Dynamic => {
-            for m in plan.morsels {
-                injector.push_back(m);
-            }
-        }
-        Assignment::StaticRange | Assignment::StaticRoundRobin => {
-            let dealt = if cfg.assignment == Assignment::StaticRange {
-                static_range(&plan.morsels, cfg.num_threads)
-            } else {
-                static_round_robin(&plan.morsels, cfg.num_threads)
-            };
-            for (w, load) in dealt.into_iter().enumerate() {
-                for m in load {
-                    loads[w].est.fetch_add(m.est, Ordering::Relaxed);
-                    loads[w].morsels.fetch_add(1, Ordering::Relaxed);
-                    queues[w].push_back(m);
-                }
-            }
-        }
-    }
-
     // Snapshot so a pre-warmed external cache reports only this run's
     // activity (freshly built caches snapshot all-zero counters).
     let baseline = caches.per_worker_stats(cfg.num_threads);
-    let candidates = AtomicU64::new(0);
-    let node_pairs = AtomicU64::new(0);
-    let steals = AtomicU64::new(0);
-    let fail = FailState::default();
     let start = Instant::now();
-
-    let mut results: Vec<WorkerOutput> = Vec::with_capacity(cfg.num_threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.num_threads);
-        for id in 0..cfg.num_threads {
-            let injector = &injector;
-            let queues = &queues;
-            let loads = &loads;
-            let caches = &caches;
-            let candidates = &candidates;
-            let node_pairs = &node_pairs;
-            let steals = &steals;
-            let fail = &fail;
-            let fault = ctl.fault.clone();
-            let tracer = ctl.trace.as_ref().map(|t| t.tracer(worker_tid(id)));
-            handles.push(scope.spawn(move || {
-                let join_source = JoinSource { a, b };
-                let mut fetcher = NodeFetcher {
-                    a,
-                    b,
-                    source: match fault {
-                        Some(plan) => Source::Faulted(FaultSource::new(join_source, plan)),
-                        None => Source::Plain(join_source),
-                    },
-                    cache: caches
-                        .for_worker(id)
-                        .map(|(c, w)| (c, w, L1Front::new(L1_SLOTS))),
-                };
-                run_worker(
-                    id,
-                    a,
-                    b,
-                    cfg,
-                    &mut fetcher,
-                    queues,
-                    injector,
-                    loads,
-                    candidates,
-                    node_pairs,
-                    steals,
-                    cancel,
-                    fail,
-                    tracer,
-                )
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
+    let joined = sched::execute(cfg, ctl, plan.morsels, |id| {
+        let join_source = JoinSource { a, b };
+        TreeWorker::new(
+            NodeFetcher {
+                a,
+                b,
+                source: match &ctl.fault {
+                    Some(plan) => Source::Faulted(FaultSource::new(join_source, Arc::clone(plan))),
+                    None => Source::Plain(join_source),
+                },
+                cache: caches
+                    .for_worker(id)
+                    .map(|(c, w)| (c, w, L1Front::new(L1_SLOTS))),
+            },
+            cfg.refine,
+        )
     });
     let elapsed = start.elapsed();
     if let (Some(t), Some(start_ns)) = (trace, join_start_ns) {
@@ -853,447 +712,180 @@ fn run_with_caches(
                 ("tasks", tasks as u64),
                 ("morsels", num_morsels as u64),
                 ("threads", cfg.num_threads as u64),
-                ("steals", steals.load(Ordering::Relaxed)),
+                ("steals", joined.steals()),
             ],
         );
     }
 
-    let buffer_per_worker: Vec<BufferStats> = caches
+    let mut res = joined.finish(elapsed, tasks, crate::partition::JoinEngine::RTree)?;
+    res.buffer_per_worker = caches
         .per_worker_stats(cfg.num_threads)
         .iter()
         .zip(&baseline)
         .map(|(now, then)| now.since(then))
         .collect();
-    let buffer = if matches!(caches, CacheSet::None) {
-        None
-    } else {
-        Some(
-            buffer_per_worker
+    if !matches!(caches, CacheSet::None) {
+        res.buffer = Some(
+            res.buffer_per_worker
                 .iter()
                 .fold(BufferStats::default(), |acc, s| acc.merged(s)),
-        )
-    };
-
-    if fail.abort.load(Ordering::SeqCst) {
-        let error = lock_clean(&fail.first_error)
-            .take()
-            .expect("abort flag implies a recorded error");
-        return Err(NativeError::Storage(JoinError {
-            error,
-            failed_tasks: fail.failed_tasks.load(Ordering::Relaxed),
-        }));
-    }
-
-    if let Some(token) = cancel {
-        // A token that fired mid-run means workers unwound early and the
-        // result set may be partial; report cancellation instead.
-        token.check().map_err(|_| NativeError::Cancelled)?;
-    }
-
-    // Deterministic merge: every completed morsel's output lands in its
-    // id slot exactly once; concatenating slots in id order reproduces the
-    // sequential oracle's byte order. A lost or duplicated morsel is an
-    // executor bug, not a data error — fail loudly, unless a contained
-    // panic explains the hole, in which case the run reports it as a
-    // typed error (a partial merge would be a silently wrong answer).
-    let mut task_traces = Vec::with_capacity(num_morsels);
-    let mut slots: Vec<Option<Vec<(u64, u64)>>> = Vec::new();
-    slots.resize_with(num_morsels, || None);
-    for (outputs, mut t) in results {
-        for (mid, out) in outputs {
-            let slot = &mut slots[mid as usize];
-            assert!(slot.is_none(), "morsel {mid} executed twice");
-            *slot = Some(out);
-        }
-        task_traces.append(&mut t);
-    }
-    if fail.panics.load(Ordering::Relaxed) > 0 {
-        let message = lock_clean(&fail.first_panic)
-            .take()
-            .unwrap_or_else(|| "panic recorded without a message".to_string());
-        return Err(NativeError::WorkerPanic {
-            message,
-            completed_morsels: slots.iter().filter(|s| s.is_some()).count(),
-            morsels: num_morsels,
-        });
-    }
-    let mut pairs = Vec::with_capacity(
-        slots
-            .iter()
-            .map(|s| s.as_ref().map_or(0, Vec::len))
-            .sum::<usize>(),
-    );
-    for (mid, slot) in slots.iter_mut().enumerate() {
-        match slot.take() {
-            Some(mut v) => pairs.append(&mut v),
-            None => panic!("morsel {mid} lost"),
-        }
-    }
-    Ok(NativeResult {
-        pairs,
-        candidates: candidates.load(Ordering::Relaxed),
-        node_pairs: node_pairs.load(Ordering::Relaxed),
-        elapsed,
-        tasks,
-        morsels: num_morsels,
-        steals: steals.load(Ordering::Relaxed),
-        buffer,
-        buffer_per_worker,
-        task_traces,
-        engine: crate::partition::JoinEngine::RTree,
-        replicated: 0,
-        deduped: 0,
-    })
-}
-
-/// One open morsel segment: the attribution baseline captured when the
-/// morsel was acquired (see [`TaskTrace`]).
-struct Segment {
-    origin: TaskOrigin,
-    morsel: u32,
-    tasks: u32,
-    start: Instant,
-    start_ns: u64,
-    base_stats: BufferStats,
-    base_pairs: u64,
-    base_cands: u64,
-}
-
-/// Closes `seg`: computes the deltas since its baseline, records a
-/// [`TaskTrace`], and (when tracing) emits the `task` span.
-#[allow(clippy::too_many_arguments)]
-fn close_segment(
-    seg: Segment,
-    id: usize,
-    buffered: bool,
-    now_stats: BufferStats,
-    pairs: u64,
-    cands: u64,
-    traces: &mut Vec<TaskTrace>,
-    tracer: Option<&mut ThreadTracer>,
-) {
-    let delta = now_stats.since(&seg.base_stats);
-    let node_pairs = pairs - seg.base_pairs;
-    let candidates = cands - seg.base_cands;
-    let pages = if buffered {
-        delta.requests()
-    } else {
-        // Unbuffered fetches bypass the cache counters: each processed
-        // node pair reads its two nodes, each candidate its two leaves.
-        2 * node_pairs + 2 * candidates
-    };
-    let tt = TaskTrace {
-        worker: id,
-        morsel: seg.morsel,
-        tasks: seg.tasks,
-        origin: seg.origin,
-        node_pairs,
-        candidates,
-        pages,
-        hits_local: delta.hits_local,
-        hits_l1: delta.hits_l1,
-        hits_remote: delta.hits_remote,
-        misses: delta.misses,
-        retries: delta.retries,
-        wall: seg.start.elapsed(),
-        engine: crate::partition::JoinEngine::RTree,
-        replicated: 0,
-        deduped: 0,
-    };
-    if let Some(tr) = tracer {
-        tr.span(
-            "task",
-            "join",
-            seg.start_ns,
-            &[
-                ("worker", id as u64),
-                ("morsel", seg.morsel as u64),
-                ("tasks", seg.tasks as u64),
-                ("origin", seg.origin as u64),
-                ("node_pairs", tt.node_pairs),
-                ("candidates", tt.candidates),
-                ("pages", tt.pages),
-                ("hits_local", tt.hits_local),
-                ("hits_remote", tt.hits_remote),
-                ("retries", tt.retries),
-            ],
         );
     }
-    traces.push(tt);
+    Ok(res)
 }
 
-/// Acquires the next morsel for worker `id`: own queue front (plane-sweep
-/// order), then the shared queue, then — with stealing on — exactly one
-/// morsel from the victim picked by the configured [`StealPolicy`]. Load
-/// stats are decremented by whoever removes a morsel, so the busiest
-/// snapshot is at worst momentarily stale. Returns `None` when every queue
-/// was observed empty — queues only drain after setup, so that worker is
-/// done for good.
-#[allow(clippy::too_many_arguments)]
-fn acquire_morsel(
-    id: usize,
-    cfg: &NativeConfig,
-    queues: &[MorselQueue<Morsel>],
-    injector: &MorselQueue<Morsel>,
-    loads: &[WorkerLoad],
-    steals: &AtomicU64,
-    shim: &StealOrder,
-    attempts: &mut u64,
-    tracer: Option<&mut ThreadTracer>,
-) -> Option<(Morsel, TaskOrigin)> {
-    if let Some(m) = queues[id].pop_front() {
-        loads[id].est.fetch_sub(m.est, Ordering::Relaxed);
-        loads[id].morsels.fetch_sub(1, Ordering::Relaxed);
-        return Some((m, TaskOrigin::Assigned));
-    }
-    if let Some(m) = injector.pop_front() {
-        return Some((m, TaskOrigin::Injector));
-    }
-    if !cfg.work_stealing || queues.len() < 2 {
-        return None;
-    }
-    let n = queues.len();
-    let try_steal = |v: usize| -> Option<Morsel> {
-        let m = queues[v].steal_back()?;
-        loads[v].est.fetch_sub(m.est, Ordering::Relaxed);
-        loads[v].morsels.fetch_sub(1, Ordering::Relaxed);
-        Some(m)
-    };
-    let stolen = match cfg.steal {
-        StealPolicy::Busiest => {
-            // Snapshot the live (remaining est, remaining morsels) stats and
-            // probe victims busiest-first; ties break toward the lower id.
-            let mut victims: Vec<(u64, u64, usize)> = (0..n)
-                .filter(|&w| w != id)
-                .map(|w| {
-                    (
-                        loads[w].est.load(Ordering::Relaxed),
-                        loads[w].morsels.load(Ordering::Relaxed),
-                        w,
-                    )
-                })
-                .collect();
-            victims.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(y.1.cmp(&x.1)).then(x.2.cmp(&y.2)));
-            victims
-                .into_iter()
-                .find_map(|(_, _, w)| try_steal(w).map(|m| (m, w)))
-        }
-        StealPolicy::RoundRobin => (1..n).find_map(|k| {
-            let w = (id + k) % n;
-            try_steal(w).map(|m| (m, w))
-        }),
-        StealPolicy::Seeded => {
-            *attempts += 1;
-            let start = shim.first_victim(id, *attempts, n);
-            (0..n).find_map(|k| {
-                let w = (start + k) % n;
-                if w == id {
-                    return None;
-                }
-                try_steal(w).map(|m| (m, w))
-            })
-        }
-    };
-    stolen.map(|(m, v)| {
-        steals.fetch_add(1, Ordering::Relaxed);
-        if let Some(tr) = tracer {
-            tr.instant(
-                "steal",
-                "join",
-                &[("victim", v as u64), ("morsel", m.id as u64)],
-            );
-        }
-        (m, TaskOrigin::Steal)
-    })
+/// One R-tree worker: its node access, the DFS kernel's scratch space, and
+/// the attribution counters of the morsel in progress.
+struct TreeWorker<'t> {
+    fetcher: NodeFetcher<'t>,
+    refine: bool,
+    scratch: KernelScratch,
+    children: Vec<TaskPair>,
+    cands: Vec<Candidate>,
+    /// Morsel-private DFS stack: task descendants never re-enter the shared
+    /// queues, so no locking happens between morsel boundaries.
+    stack: Vec<TaskPair>,
+    tasks: u32,
+    node_pairs: u64,
+    candidates: u64,
+    /// Buffer counters when the morsel started. `synced_stats` flushes this
+    /// worker's L1 front and reads its own counters — both exclusive to
+    /// it — so deltas between morsel boundaries are exact.
+    base_stats: BufferStats,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    id: usize,
-    a: &PagedTree,
-    b: &PagedTree,
-    cfg: &NativeConfig,
-    fetcher: &mut NodeFetcher<'_>,
-    queues: &[MorselQueue<Morsel>],
-    injector: &MorselQueue<Morsel>,
-    loads: &[WorkerLoad],
-    candidates: &AtomicU64,
-    node_pairs: &AtomicU64,
-    steals: &AtomicU64,
-    cancel: Option<&CancelToken>,
-    fail: &FailState,
-    mut tracer: Option<ThreadTracer>,
-) -> WorkerOutput {
-    let mut scratch = KernelScratch::default();
-    let mut children: Vec<TaskPair> = Vec::new();
-    let mut cands: Vec<Candidate> = Vec::new();
-    // Morsel-private DFS stack: task descendants never re-enter the shared
-    // queues, so no locking happens between morsel boundaries.
-    let mut stack: Vec<TaskPair> = Vec::new();
-    let mut outputs: Vec<(u32, Vec<(u64, u64)>)> = Vec::new();
-    let mut local_candidates = 0u64;
-    let mut local_pairs = 0u64;
-
-    // Per-morsel attribution state. `synced_stats` flushes this worker's L1
-    // front and reads its own counters: both exclusive to it, so deltas
-    // between boundaries are exact.
-    let buffered = fetcher.cache.is_some();
-    let mut traces: Vec<TaskTrace> = Vec::new();
-    let shim = StealOrder::new(cfg.steal_seed);
-    let mut attempts = 0u64;
-
-    'outer: loop {
-        // Cooperative cancellation / failure abort: each worker bails out on
-        // its own; the caller discards partial results once every worker has
-        // unwound.
-        if cancel.is_some_and(|t| t.is_cancelled()) || fail.abort.load(Ordering::Relaxed) {
-            break 'outer;
+impl<'t> TreeWorker<'t> {
+    fn new(fetcher: NodeFetcher<'t>, refine: bool) -> Self {
+        TreeWorker {
+            fetcher,
+            refine,
+            scratch: KernelScratch::default(),
+            children: Vec::new(),
+            cands: Vec::new(),
+            stack: Vec::new(),
+            tasks: 0,
+            node_pairs: 0,
+            candidates: 0,
+            base_stats: BufferStats::default(),
         }
-        let Some((morsel, origin)) = acquire_morsel(
-            id,
-            cfg,
-            queues,
-            injector,
-            loads,
-            steals,
-            &shim,
-            &mut attempts,
-            tracer.as_mut(),
-        ) else {
-            // Every queue observed empty. Queues only drain after setup
-            // (descendants stay on the private stack), so nothing can
-            // appear later: retire without a termination barrier.
-            break 'outer;
-        };
+    }
+}
 
-        let seg = Segment {
-            origin,
-            morsel: morsel.id,
-            tasks: morsel.tasks.len() as u32,
-            start: Instant::now(),
-            start_ns: tracer.as_ref().map_or(0, ThreadTracer::now_ns),
-            base_stats: fetcher.synced_stats(),
-            base_pairs: local_pairs,
-            base_cands: local_candidates,
-        };
-        let mid = morsel.id;
-        stack.clear();
-        stack.extend(morsel.tasks.into_iter().rev());
+impl MorselBody<Morsel> for TreeWorker<'_> {
+    fn run(&mut self, morsel: Morsel, status: &Status<'_>) -> Result<Vec<(u64, u64)>, Halt> {
+        self.base_stats = self.fetcher.synced_stats();
+        self.tasks = morsel.tasks.len() as u32;
+        self.node_pairs = 0;
+        self.candidates = 0;
+        self.stack.clear();
+        self.stack.extend(morsel.tasks.into_iter().rev());
         // Execute the morsel's tasks in plane-sweep order, each depth-first
         // with children pushed in reverse — the sequential oracle's exact
         // traversal, so `out` is byte-identical to the oracle's slice for
-        // this morsel. `dirty` marks an abort mid-morsel: the segment still
-        // closes (attribution stays exact) but the partial output is
-        // discarded and the worker unwinds.
-        //
-        // The whole morsel runs under `catch_unwind`: a panic (a kernel
-        // bug, an injected fault) is contained to the morsel that hit it —
-        // the worker records it, keeps its thread, and moves on to the
-        // next morsel. The shared structures stay usable across the unwind
-        // because every lock on the worker's path recovers from poisoning
-        // (`lock_clean`) and in-flight cache fills are cleaned up by a
-        // drop guard.
-        let run_morsel = std::panic::AssertUnwindSafe(|| {
-            let mut out: Vec<(u64, u64)> = Vec::new();
-            let mut dirty = false;
-            'morsel: while let Some(pair) = stack.pop() {
-                if cancel.is_some_and(|t| t.is_cancelled()) || fail.abort.load(Ordering::Relaxed) {
-                    dirty = true;
-                    break 'morsel;
-                }
-                local_pairs += 1;
-                let fetched = fetcher
-                    .node_a(pair.a)
-                    .and_then(|na| fetcher.node_b(pair.b).map(|nb| (na, nb)));
-                let (na, nb) = match fetched {
-                    Ok(v) => v,
-                    Err(e) => {
-                        fail.record(e);
-                        dirty = true;
-                        break 'morsel;
-                    }
-                };
-                children.clear();
-                cands.clear();
-                expand_pair(&na, &nb, &pair, &mut scratch, &mut children, &mut cands);
-                drop((na, nb));
-                for c in children.drain(..).rev() {
-                    stack.push(c);
-                }
-                for c in &cands {
-                    local_candidates += 1;
-                    let fetched = fetcher
-                        .node_a(c.page_a)
-                        .and_then(|na| fetcher.node_b(c.page_b).map(|nb| (na, nb)));
-                    let (na, nb) = match fetched {
-                        Ok(v) => v,
-                        Err(e) => {
-                            fail.record(e);
-                            dirty = true;
-                            break 'morsel;
-                        }
+        // this morsel.
+        let mut out = Vec::new();
+        while let Some(pair) = self.stack.pop() {
+            if status.stopped() {
+                return Err(Halt::Stopped);
+            }
+            self.node_pairs += 1;
+            let na = self.fetcher.node_a(pair.a)?;
+            let nb = self.fetcher.node_b(pair.b)?;
+            self.children.clear();
+            self.cands.clear();
+            expand_pair(
+                &na,
+                &nb,
+                &pair,
+                &mut self.scratch,
+                &mut self.children,
+                &mut self.cands,
+            );
+            drop((na, nb));
+            self.stack.extend(self.children.drain(..).rev());
+            for c in &self.cands {
+                self.candidates += 1;
+                let na = self.fetcher.node_a(c.page_a)?;
+                let nb = self.fetcher.node_b(c.page_b)?;
+                let ea = na.data_entries()[c.idx_a as usize];
+                let eb = nb.data_entries()[c.idx_b as usize];
+                if self.refine {
+                    // Refinement geometry lives in the cluster store, outside
+                    // the page budget: the paper reads clusters once per data
+                    // page and does not buffer them (§4.2).
+                    let ga = self
+                        .fetcher
+                        .a
+                        .clusters()
+                        .geometry(ea.geom.page, ea.geom.slot);
+                    let gb = self
+                        .fetcher
+                        .b
+                        .clusters()
+                        .geometry(eb.geom.page, eb.geom.slot);
+                    let hit = match (ga, gb) {
+                        (Some(ga), Some(gb)) => ga.intersects(gb),
+                        _ => true,
                     };
-                    let ea = na.data_entries()[c.idx_a as usize];
-                    let eb = nb.data_entries()[c.idx_b as usize];
-                    if cfg.refine {
-                        // Refinement geometry lives in the cluster store,
-                        // outside the page budget: the paper reads clusters
-                        // once per data page and does not buffer them (§4.2).
-                        let ga = a.clusters().geometry(ea.geom.page, ea.geom.slot);
-                        let gb = b.clusters().geometry(eb.geom.page, eb.geom.slot);
-                        let hit = match (ga, gb) {
-                            (Some(ga), Some(gb)) => ga.intersects(gb),
-                            _ => true,
-                        };
-                        if hit {
-                            out.push((ea.oid, eb.oid));
-                        }
-                    } else {
-                        out.push((ea.oid, eb.oid));
+                    if !hit {
+                        continue;
                     }
                 }
+                out.push((ea.oid, eb.oid));
             }
-            (out, dirty)
-        });
-        let outcome = match std::panic::catch_unwind(run_morsel) {
-            Ok(v) => Some(v),
-            Err(payload) => {
-                fail.record_panic(payload.as_ref());
-                // Descendants of the panicked morsel must not leak into
-                // the next morsel's traversal.
-                stack.clear();
-                None
-            }
+        }
+        Ok(out)
+    }
+
+    fn close(&mut self, seg: &Segment) -> TaskTrace {
+        let delta = self.fetcher.synced_stats().since(&self.base_stats);
+        let pages = if self.fetcher.cache.is_some() {
+            delta.requests()
+        } else {
+            // Unbuffered fetches bypass the cache counters: each processed
+            // node pair reads its two nodes, each candidate its two leaves.
+            2 * self.node_pairs + 2 * self.candidates
         };
-        // The segment closes even for a panicked morsel, so per-worker
-        // attribution still accounts for the work it attempted.
-        close_segment(
-            seg,
-            id,
-            buffered,
-            fetcher.synced_stats(),
-            local_pairs,
-            local_candidates,
-            &mut traces,
-            tracer.as_mut(),
-        );
-        match outcome {
-            Some((_, true)) => break 'outer,
-            Some((out, false)) => outputs.push((mid, out)),
-            // Panicked: the morsel's output is lost (the driver reports a
-            // typed error), but this worker keeps draining the queues.
-            None => {}
+        TaskTrace {
+            worker: seg.worker,
+            morsel: seg.morsel,
+            tasks: self.tasks,
+            origin: seg.origin,
+            node_pairs: self.node_pairs,
+            candidates: self.candidates,
+            pages,
+            hits_local: delta.hits_local,
+            hits_l1: delta.hits_l1,
+            hits_remote: delta.hits_remote,
+            misses: delta.misses,
+            retries: delta.retries,
+            wall: seg.start.elapsed(),
+            engine: crate::partition::JoinEngine::RTree,
+            replicated: 0,
+            deduped: 0,
         }
     }
 
-    candidates.fetch_add(local_candidates, Ordering::Relaxed);
-    node_pairs.fetch_add(local_pairs, Ordering::Relaxed);
-    (outputs, traces)
+    fn span_args(tt: &TaskTrace) -> Vec<(&'static str, u64)> {
+        vec![
+            ("worker", tt.worker as u64),
+            ("morsel", u64::from(tt.morsel)),
+            ("tasks", u64::from(tt.tasks)),
+            ("origin", tt.origin as u64),
+            ("node_pairs", tt.node_pairs),
+            ("candidates", tt.candidates),
+            ("pages", tt.pages),
+            ("hits_local", tt.hits_local),
+            ("hits_remote", tt.hits_remote),
+            ("retries", tt.retries),
+        ]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::TaskOrigin;
     use crate::seq::{join_candidates, join_refined};
     use psj_geom::{Point, Polyline, Rect};
     use psj_rtree::RTree;
@@ -1448,8 +1040,9 @@ mod tests {
         let b = tree(600, 0.4);
         let token = CancelToken::new();
         token.cancel();
-        let res = run_native_join_cancellable(&a, &b, &NativeConfig::new(4), &token);
-        assert_eq!(res.err(), Some(Cancelled));
+        let ctl = RunControl::default().with_cancel(&token);
+        let res = try_run_native_join(&a, &b, &NativeConfig::new(4), &ctl);
+        assert_eq!(res.err(), Some(NativeError::Cancelled));
     }
 
     #[test]
@@ -1459,8 +1052,9 @@ mod tests {
         let token = CancelToken::with_deadline(
             std::time::Instant::now() - std::time::Duration::from_millis(1),
         );
-        let res = run_native_join_cancellable(&a, &b, &NativeConfig::new(4), &token);
-        assert_eq!(res.err(), Some(Cancelled));
+        let ctl = RunControl::default().with_cancel(&token);
+        let res = try_run_native_join(&a, &b, &NativeConfig::new(4), &ctl);
+        assert_eq!(res.err(), Some(NativeError::Cancelled));
     }
 
     #[test]
@@ -1471,7 +1065,8 @@ mod tests {
         let token = CancelToken::with_deadline(
             std::time::Instant::now() + std::time::Duration::from_secs(600),
         );
-        let res = run_native_join_cancellable(&a, &b, &NativeConfig::new(4), &token)
+        let ctl = RunControl::default().with_cancel(&token);
+        let res = try_run_native_join(&a, &b, &NativeConfig::new(4), &ctl)
             .expect("far deadline never fires");
         assert_eq!(as_set(&res.pairs), want);
     }

@@ -1,4 +1,4 @@
-//! Partition-join executor: cells → morsels → the PR 6 scheduler.
+//! Partition-join executor: cells → morsels → the shared morsel scheduler.
 //!
 //! Planning materializes both inputs as flat item arrays, sizes the grid
 //! ([`super::grid::plan_grid`]), replicates items into cells
@@ -6,13 +6,14 @@
 //! sides — a pair's owner cell always has both, so single-sided cells can
 //! be skipped outright) with the same Minkowski model the morsel planner
 //! uses, and packs cells into [`CellMorsel`]s next-fit in row-major cell
-//! order. Execution then mirrors [`crate::native`] exactly: per-worker
-//! [`MorselQueue`]s plus a shared injector, the configured
-//! [`StealPolicy`] picking reassignment victims via live remaining-work
-//! stats, one [`TaskTrace`] per acquired morsel (tagged
-//! [`JoinEngine::Partition`], carrying per-morsel replication/dedup
-//! attribution), and a deterministic morsel-id-order merge — the output
-//! sequence never depends on thread count or steal interleaving.
+//! order. Execution is the scheduler in `crate::sched`, the one the R-tree
+//! engine runs on: dealing per [`crate::Assignment`], the configured
+//! [`crate::StealPolicy`] picking reassignment victims, one [`TaskTrace`]
+//! per acquired morsel (tagged [`JoinEngine::Partition`], carrying
+//! per-morsel replication/dedup attribution), per-morsel panic containment
+//! and a deterministic morsel-id-order merge — the output sequence never
+//! depends on thread count or steal interleaving. This module supplies
+//! only the per-cell work.
 //!
 //! Per cell, the kernel is the PR 5 SoA sweep: both item runs are already
 //! `(xl, index)`-sorted by the planner, the universe rectangle is the
@@ -29,17 +30,13 @@
 
 use super::grid::{plan_grid, CellIndex, GridPlan, ItemStats};
 use super::{JoinEngine, PartitionInput};
-use crate::assign::{static_range, static_round_robin, Assignment};
-use crate::deque::MorselQueue;
-use crate::metrics::{TaskOrigin, TaskTrace};
-use crate::morsel::{StealPolicy, AUTO_BUDGET_MAX, AUTO_BUDGET_MIN, MORSELS_PER_WORKER};
+use crate::metrics::TaskTrace;
+use crate::morsel::{AUTO_BUDGET_MAX, AUTO_BUDGET_MIN, MORSELS_PER_WORKER};
 use crate::native::{NativeConfig, NativeError, NativeResult, RunControl};
-use psj_desim::StealOrder;
+use crate::sched::{self, Halt, MorselBody, Schedulable, Segment, Status};
 use psj_geom::{sweep_pairs_soa_runs, Rect, SoaRun, SweepPair, SweepScratch};
 use psj_obs::trace::{worker_tid, TID_MAIN};
-use psj_obs::ThreadTracer;
 use psj_rtree::{GeomRef, PagedTree};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One partition morsel: a run of occupied cells (row-major cell order)
@@ -52,6 +49,15 @@ pub struct CellMorsel {
     pub cells: Vec<u32>,
     /// Estimated filter-step candidates (≥ 1).
     pub est: u64,
+}
+
+impl Schedulable for CellMorsel {
+    fn id(&self) -> u32 {
+        self.id
+    }
+    fn est(&self) -> u64 {
+        self.est
+    }
 }
 
 /// Everything the partition planner decides before workers start.
@@ -322,25 +328,13 @@ fn plan_sides(a: &Side<'_>, b: &Side<'_>, cfg: &NativeConfig) -> PartitionPlan {
     }
 }
 
-/// Live remaining-work stats one worker's queue publishes for
-/// busiest-victim selection (same protocol as the native executor).
-#[derive(Default)]
-struct WorkerLoad {
-    est: AtomicU64,
-    morsels: AtomicU64,
-}
-
-/// One worker's run output: completed morsels' result pairs plus
-/// attribution traces.
-type WorkerOutput = (Vec<(u32, Vec<(u64, u64)>)>, Vec<TaskTrace>);
-
 /// Runs the partition join.
 ///
 /// # Panics
 ///
-/// Never fails on storage (the engine is in-memory); the panic-free
-/// fallible variant exists for cancellation — see
-/// [`try_run_partition_join`].
+/// Panics if the run fails: it never fails on storage (the engine is
+/// in-memory), so only a panicked morsel can — callers that must survive
+/// one use [`try_run_partition_join`].
 pub fn run_partition_join(
     a: PartitionInput<'_>,
     b: PartitionInput<'_>,
@@ -348,17 +342,19 @@ pub fn run_partition_join(
 ) -> NativeResult {
     match try_run_partition_join(a, b, cfg, &RunControl::default()) {
         Ok(res) => res,
-        Err(e) => unreachable!("in-memory partition join cannot fail: {e}"),
+        Err(e) => panic!("partition join failed: {e}"),
     }
 }
 
-/// Runs the partition join with runtime controls. Cancellation is honored
-/// at cell granularity; tracing emits `plan_partition`/`join` driver spans
-/// plus per-morsel `task` spans and `steal` instants, exactly like the
-/// native executor. Fault plans and retry policies are inert here (they
-/// act on page-cache fills; this engine has no cache) — callers that need
-/// fault coverage keep [`JoinEngine::RTree`], which is also what
-/// [`super::select_engine`] does.
+/// Runs the partition join with runtime controls on the shared morsel
+/// scheduler. Cancellation is honored at cell granularity
+/// ([`NativeError::Cancelled`]); a panic inside a morsel is contained to it
+/// and reported as [`NativeError::WorkerPanic`] once the rest of the plan
+/// has run. Tracing emits `plan_partition`/`join` driver spans plus
+/// per-morsel `task` spans and `steal` instants. Fault plans and retry
+/// policies are inert here (they act on page-cache fills; this engine has
+/// no cache) — callers that need fault coverage keep [`JoinEngine::RTree`],
+/// which is also what [`super::select_engine`] does.
 pub fn try_run_partition_join(
     a: PartitionInput<'_>,
     b: PartitionInput<'_>,
@@ -386,7 +382,7 @@ pub fn try_run_partition_join(
     if let Some(token) = cancel {
         token.check().map_err(|_| NativeError::Cancelled)?;
     }
-    let plan = plan_sides(&side_a, &side_b, cfg);
+    let mut plan = plan_sides(&side_a, &side_b, cfg);
     let num_morsels = plan.morsels.len();
     if let (Some(t), Some(start)) = (trace, plan_start_ns) {
         t.span(
@@ -409,65 +405,9 @@ pub fn try_run_partition_join(
         token.check().map_err(|_| NativeError::Cancelled)?;
     }
 
-    let injector: MorselQueue<CellMorsel> = MorselQueue::new();
-    let queues: Vec<MorselQueue<CellMorsel>> =
-        (0..cfg.num_threads).map(|_| MorselQueue::new()).collect();
-    let loads: Vec<WorkerLoad> = (0..cfg.num_threads)
-        .map(|_| WorkerLoad::default())
-        .collect();
-    let morsels = plan.morsels.clone();
-    match cfg.assignment {
-        Assignment::Dynamic => {
-            for m in morsels {
-                injector.push_back(m);
-            }
-        }
-        Assignment::StaticRange | Assignment::StaticRoundRobin => {
-            let dealt = if cfg.assignment == Assignment::StaticRange {
-                static_range(&morsels, cfg.num_threads)
-            } else {
-                static_round_robin(&morsels, cfg.num_threads)
-            };
-            for (w, load) in dealt.into_iter().enumerate() {
-                for m in load {
-                    loads[w].est.fetch_add(m.est, Ordering::Relaxed);
-                    loads[w].morsels.fetch_add(1, Ordering::Relaxed);
-                    queues[w].push_back(m);
-                }
-            }
-        }
-    }
-
-    let candidates = AtomicU64::new(0);
-    let replicated = AtomicU64::new(0);
-    let deduped = AtomicU64::new(0);
-    let steals = AtomicU64::new(0);
-
-    let mut results: Vec<WorkerOutput> = Vec::with_capacity(cfg.num_threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.num_threads);
-        for id in 0..cfg.num_threads {
-            let injector = &injector;
-            let queues = &queues;
-            let loads = &loads;
-            let plan = &plan;
-            let side_a = &side_a;
-            let side_b = &side_b;
-            let candidates = &candidates;
-            let replicated = &replicated;
-            let deduped = &deduped;
-            let steals = &steals;
-            let tracer = ctl.trace.as_ref().map(|t| t.tracer(worker_tid(id)));
-            handles.push(scope.spawn(move || {
-                run_worker(
-                    id, cfg, plan, side_a, side_b, queues, injector, loads, candidates, replicated,
-                    deduped, steals, cancel, tracer,
-                )
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
+    let morsels = std::mem::take(&mut plan.morsels);
+    let joined = sched::execute(cfg, ctl, morsels, |_| {
+        CellWorker::new(&plan, &side_a, &side_b, cfg.refine)
     });
     let elapsed = start.elapsed();
     if let (Some(t), Some(start_ns)) = (trace, join_start_ns) {
@@ -481,213 +421,81 @@ pub fn try_run_partition_join(
                 ("cells", plan.occupied as u64),
                 ("morsels", num_morsels as u64),
                 ("threads", cfg.num_threads as u64),
-                ("steals", steals.load(Ordering::Relaxed)),
+                ("steals", joined.steals()),
             ],
         );
     }
-
-    if let Some(token) = cancel {
-        token.check().map_err(|_| NativeError::Cancelled)?;
-    }
-
-    // Deterministic merge, identical to the native executor: every morsel's
-    // output fills its id slot exactly once.
-    let mut task_traces = Vec::with_capacity(num_morsels);
-    let mut slots: Vec<Option<Vec<(u64, u64)>>> = Vec::new();
-    slots.resize_with(num_morsels, || None);
-    for (outputs, mut t) in results {
-        for (mid, out) in outputs {
-            let slot = &mut slots[mid as usize];
-            assert!(slot.is_none(), "morsel {mid} executed twice");
-            *slot = Some(out);
-        }
-        task_traces.append(&mut t);
-    }
-    let mut pairs = Vec::with_capacity(
-        slots
-            .iter()
-            .map(|s| s.as_ref().map_or(0, Vec::len))
-            .sum::<usize>(),
-    );
-    for (mid, slot) in slots.iter_mut().enumerate() {
-        match slot.take() {
-            Some(mut v) => pairs.append(&mut v),
-            None => panic!("morsel {mid} lost"),
-        }
-    }
-    Ok(NativeResult {
-        pairs,
-        candidates: candidates.load(Ordering::Relaxed),
-        node_pairs: 0,
-        elapsed,
-        tasks: plan.occupied,
-        morsels: num_morsels,
-        steals: steals.load(Ordering::Relaxed),
-        buffer: None,
-        buffer_per_worker: Vec::new(),
-        task_traces,
-        engine: JoinEngine::Partition,
-        replicated: replicated.load(Ordering::Relaxed),
-        deduped: deduped.load(Ordering::Relaxed),
-    })
+    joined.finish(elapsed, plan.occupied, JoinEngine::Partition)
 }
 
-/// Acquires the next morsel for worker `id`: own queue, shared queue, then
-/// one steal per the configured policy — the native executor's protocol
-/// verbatim, over [`CellMorsel`]s.
-#[allow(clippy::too_many_arguments)]
-fn acquire_morsel(
-    id: usize,
-    cfg: &NativeConfig,
-    queues: &[MorselQueue<CellMorsel>],
-    injector: &MorselQueue<CellMorsel>,
-    loads: &[WorkerLoad],
-    steals: &AtomicU64,
-    shim: &StealOrder,
-    attempts: &mut u64,
-    tracer: Option<&mut ThreadTracer>,
-) -> Option<(CellMorsel, TaskOrigin)> {
-    if let Some(m) = queues[id].pop_front() {
-        loads[id].est.fetch_sub(m.est, Ordering::Relaxed);
-        loads[id].morsels.fetch_sub(1, Ordering::Relaxed);
-        return Some((m, TaskOrigin::Assigned));
-    }
-    if let Some(m) = injector.pop_front() {
-        return Some((m, TaskOrigin::Injector));
-    }
-    if !cfg.work_stealing || queues.len() < 2 {
-        return None;
-    }
-    let n = queues.len();
-    let try_steal = |v: usize| -> Option<CellMorsel> {
-        let m = queues[v].steal_back()?;
-        loads[v].est.fetch_sub(m.est, Ordering::Relaxed);
-        loads[v].morsels.fetch_sub(1, Ordering::Relaxed);
-        Some(m)
-    };
-    let stolen = match cfg.steal {
-        StealPolicy::Busiest => {
-            let mut victims: Vec<(u64, u64, usize)> = (0..n)
-                .filter(|&w| w != id)
-                .map(|w| {
-                    (
-                        loads[w].est.load(Ordering::Relaxed),
-                        loads[w].morsels.load(Ordering::Relaxed),
-                        w,
-                    )
-                })
-                .collect();
-            victims.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(y.1.cmp(&x.1)).then(x.2.cmp(&y.2)));
-            victims
-                .into_iter()
-                .find_map(|(_, _, w)| try_steal(w).map(|m| (m, w)))
-        }
-        StealPolicy::RoundRobin => (1..n).find_map(|k| {
-            let w = (id + k) % n;
-            try_steal(w).map(|m| (m, w))
-        }),
-        StealPolicy::Seeded => {
-            *attempts += 1;
-            let start = shim.first_victim(id, *attempts, n);
-            (0..n).find_map(|k| {
-                let w = (start + k) % n;
-                if w == id {
-                    return None;
-                }
-                try_steal(w).map(|m| (m, w))
-            })
-        }
-    };
-    stolen.map(|(m, v)| {
-        steals.fetch_add(1, Ordering::Relaxed);
-        if let Some(tr) = tracer {
-            tr.instant(
-                "steal",
-                "join",
-                &[("victim", v as u64), ("morsel", m.id as u64)],
-            );
-        }
-        (m, TaskOrigin::Steal)
-    })
+/// One partition worker: sweep scratch space plus the attribution counters
+/// of the morsel in progress.
+struct CellWorker<'p> {
+    plan: &'p PartitionPlan,
+    side_a: &'p Side<'p>,
+    side_b: &'p Side<'p>,
+    refine: bool,
+    scratch: SweepScratch,
+    sweep_out: Vec<SweepPair>,
+    cells: u32,
+    candidates: u64,
+    replicated: u64,
+    deduped: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    id: usize,
-    cfg: &NativeConfig,
-    plan: &PartitionPlan,
-    side_a: &Side<'_>,
-    side_b: &Side<'_>,
-    queues: &[MorselQueue<CellMorsel>],
-    injector: &MorselQueue<CellMorsel>,
-    loads: &[WorkerLoad],
-    candidates: &AtomicU64,
-    replicated: &AtomicU64,
-    deduped: &AtomicU64,
-    steals: &AtomicU64,
-    cancel: Option<&crate::cancel::CancelToken>,
-    mut tracer: Option<ThreadTracer>,
-) -> WorkerOutput {
-    let mut scratch = SweepScratch::default();
-    let mut sweep_out: Vec<SweepPair> = Vec::new();
-    let mut outputs: Vec<(u32, Vec<(u64, u64)>)> = Vec::new();
-    let mut traces: Vec<TaskTrace> = Vec::new();
-    let mut local_candidates = 0u64;
-    let mut local_replicated = 0u64;
-    let mut local_deduped = 0u64;
-    let shim = StealOrder::new(cfg.steal_seed);
-    let mut attempts = 0u64;
-    let grid = &plan.grid;
-
-    'outer: loop {
-        if cancel.is_some_and(|t| t.is_cancelled()) {
-            break 'outer;
+impl<'p> CellWorker<'p> {
+    fn new(
+        plan: &'p PartitionPlan,
+        side_a: &'p Side<'p>,
+        side_b: &'p Side<'p>,
+        refine: bool,
+    ) -> Self {
+        CellWorker {
+            plan,
+            side_a,
+            side_b,
+            refine,
+            scratch: SweepScratch::default(),
+            sweep_out: Vec::new(),
+            cells: 0,
+            candidates: 0,
+            replicated: 0,
+            deduped: 0,
         }
-        let Some((morsel, origin)) = acquire_morsel(
-            id,
-            cfg,
-            queues,
-            injector,
-            loads,
-            steals,
-            &shim,
-            &mut attempts,
-            tracer.as_mut(),
-        ) else {
-            break 'outer;
-        };
+    }
+}
 
-        let seg_start = Instant::now();
-        let seg_start_ns = tracer.as_ref().map_or(0, ThreadTracer::now_ns);
-        let (base_cands, base_rep, base_dedup) =
-            (local_candidates, local_replicated, local_deduped);
-        let mid = morsel.id;
-        let num_cells = morsel.cells.len() as u32;
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        let mut dirty = false;
+impl MorselBody<CellMorsel> for CellWorker<'_> {
+    fn run(&mut self, morsel: CellMorsel, status: &Status<'_>) -> Result<Vec<(u64, u64)>, Halt> {
+        self.cells = morsel.cells.len() as u32;
+        self.candidates = 0;
+        self.replicated = 0;
+        self.deduped = 0;
+        let plan = self.plan;
+        let grid = &plan.grid;
+        let mut out = Vec::new();
         for &cell in &morsel.cells {
-            if cancel.is_some_and(|t| t.is_cancelled()) {
-                dirty = true;
-                break;
+            if status.stopped() {
+                return Err(Halt::Stopped);
             }
             let c = cell as usize;
             let (lo_a, hi_a) = (plan.a.offsets[c] as usize, plan.a.offsets[c + 1] as usize);
             let (lo_b, hi_b) = (plan.b.offsets[c] as usize, plan.b.offsets[c + 1] as usize);
             let run_a = &plan.a.items[lo_a..hi_a];
             let run_b = &plan.b.items[lo_b..hi_b];
-            local_replicated += u64::from(plan.a.replicas[c]) + u64::from(plan.b.replicas[c]);
+            self.replicated += u64::from(plan.a.replicas[c]) + u64::from(plan.b.replicas[c]);
             // The runs are (xl, index)-sorted and contiguous in the plan's
             // placement-aligned coordinate arrays, so the sweep reads them
             // directly — no per-cell gather, no window filter (every
             // placed item intersects its cell by construction).
-            sweep_out.clear();
+            self.sweep_out.clear();
             sweep_pairs_soa_runs(
                 &plan.coords_a.run(lo_a, hi_a),
                 &plan.coords_b.run(lo_b, hi_b),
-                &mut scratch,
-                &mut sweep_out,
+                &mut self.scratch,
+                &mut self.sweep_out,
             );
-            for &(pa, pb) in &sweep_out {
+            for &(pa, pb) in &self.sweep_out {
                 // Reference-point test: only the owner cell reports a pair.
                 // The corners come from the placement-aligned coordinate
                 // runs the sweep just scanned, so rejected duplicates never
@@ -695,14 +503,14 @@ fn run_worker(
                 let (axl, ayl) = plan.coords_a.lower_left(lo_a + pa as usize);
                 let (bxl, byl) = plan.coords_b.lower_left(lo_b + pb as usize);
                 if grid.cell_id(grid.cell_x(axl.max(bxl)), grid.cell_y(ayl.max(byl))) != cell {
-                    local_deduped += 1;
+                    self.deduped += 1;
                     continue;
                 }
                 let ia = run_a[pa as usize] as usize;
                 let ib = run_b[pb as usize] as usize;
-                local_candidates += 1;
-                if cfg.refine {
-                    let hit = match (side_a.geometry(ia), side_b.geometry(ib)) {
+                self.candidates += 1;
+                if self.refine {
+                    let hit = match (self.side_a.geometry(ia), self.side_b.geometry(ib)) {
                         (Some(ga), Some(gb)) => ga.intersects(gb),
                         // A candidate can only be refuted by exact geometry
                         // on both sides — raw-rect inputs always pass.
@@ -712,59 +520,52 @@ fn run_worker(
                         continue;
                     }
                 }
-                out.push((side_a.oids[ia], side_b.oids[ib]));
+                out.push((self.side_a.oids[ia], self.side_b.oids[ib]));
             }
         }
-        let tt = TaskTrace {
-            worker: id,
-            morsel: mid,
-            tasks: num_cells,
-            origin,
+        Ok(out)
+    }
+
+    fn close(&mut self, seg: &Segment) -> TaskTrace {
+        TaskTrace {
+            worker: seg.worker,
+            morsel: seg.morsel,
+            tasks: self.cells,
+            origin: seg.origin,
             node_pairs: 0,
-            candidates: local_candidates - base_cands,
+            candidates: self.candidates,
             pages: 0,
             hits_local: 0,
             hits_l1: 0,
             hits_remote: 0,
             misses: 0,
             retries: 0,
-            wall: seg_start.elapsed(),
+            wall: seg.start.elapsed(),
             engine: JoinEngine::Partition,
-            replicated: local_replicated - base_rep,
-            deduped: local_deduped - base_dedup,
-        };
-        if let Some(tr) = tracer.as_mut() {
-            tr.span(
-                "task",
-                "join",
-                seg_start_ns,
-                &[
-                    ("worker", id as u64),
-                    ("morsel", mid as u64),
-                    ("cells", u64::from(num_cells)),
-                    ("origin", origin as u64),
-                    ("candidates", tt.candidates),
-                    ("replicated", tt.replicated),
-                    ("deduped", tt.deduped),
-                ],
-            );
+            replicated: self.replicated,
+            deduped: self.deduped,
         }
-        traces.push(tt);
-        if dirty {
-            break 'outer;
-        }
-        outputs.push((mid, out));
     }
 
-    candidates.fetch_add(local_candidates, Ordering::Relaxed);
-    replicated.fetch_add(local_replicated, Ordering::Relaxed);
-    deduped.fetch_add(local_deduped, Ordering::Relaxed);
-    (outputs, traces)
+    fn span_args(tt: &TaskTrace) -> Vec<(&'static str, u64)> {
+        vec![
+            ("worker", tt.worker as u64),
+            ("morsel", u64::from(tt.morsel)),
+            ("cells", u64::from(tt.tasks)),
+            ("origin", tt.origin as u64),
+            ("candidates", tt.candidates),
+            ("replicated", tt.replicated),
+            ("deduped", tt.deduped),
+        ]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::Assignment;
+    use crate::metrics::TaskOrigin;
+    use crate::morsel::StealPolicy;
     use crate::seq::{join_candidates, join_refined};
     use psj_geom::{Point, Polyline};
     use psj_rtree::RTree;

@@ -1,14 +1,18 @@
-//! Scheduler stress battery for the morsel-driven native join.
+//! Scheduler stress battery for the morsel scheduler both join engines
+//! share.
 //!
-//! Every test pins the executor against the sequential oracle *byte for
-//! byte* (Vec equality, not set equality): the deterministic merge of
-//! worker-local morsel outputs must make thread count, assignment,
-//! steal policy, and steal interleaving invisible in the output. On top
-//! of that, each run's `TaskTrace` ledger must account for every morsel
-//! exactly once and reconcile the steal counter with per-morsel origins.
+//! Every test pins the executor's output *byte for byte* (Vec equality,
+//! not set equality): the deterministic merge of worker-local morsel
+//! outputs must make thread count, assignment, steal policy, and steal
+//! interleaving invisible in the output. The R-tree engine must equal the
+//! sequential oracle; the partition engine, whose cell order differs from
+//! the oracle's plane-sweep order, must equal its own single-threaded
+//! dynamic run and the oracle after sorting. On top of that, each run's
+//! `TaskTrace` ledger must account for every morsel exactly once and
+//! reconcile the steal counter with per-morsel origins.
 
 use psj_core::{
-    join_candidates, try_run_native_join, Assignment, CancelToken, NativeConfig, NativeError,
+    join_candidates, try_run_join, Assignment, CancelToken, JoinEngine, NativeConfig, NativeError,
     NativeResult, RunControl, StealPolicy, TaskOrigin,
 };
 use psj_desim::splitmix64;
@@ -44,13 +48,42 @@ fn assert_ledger(res: &NativeResult, ctx: &str) {
 }
 
 fn run(scenario: &JoinScenario, cfg: &NativeConfig) -> NativeResult {
-    try_run_native_join(&scenario.a, &scenario.b, cfg, &RunControl::default())
+    try_run_join(&scenario.a, &scenario.b, cfg, &RunControl::default())
         .expect("uncancelled run completes")
 }
 
-/// Threads × assignment × workload: the full matrix must be byte-identical
-/// to the oracle with a clean morsel ledger. Covers both a roughly uniform
-/// workload and a clustered one whose skew forces uneven morsel costs.
+fn sorted(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    pairs.sort_unstable();
+    pairs
+}
+
+/// The byte sequence `engine` must reproduce on every schedule: the oracle
+/// for the R-tree engine, the single-threaded dynamic run for the
+/// partition engine (checked sorted-equal to the oracle here).
+fn reference(
+    scenario: &JoinScenario,
+    engine: JoinEngine,
+    oracle: &[(u64, u64)],
+) -> Vec<(u64, u64)> {
+    if engine == JoinEngine::RTree {
+        return oracle.to_vec();
+    }
+    let mut cfg = NativeConfig::new(1);
+    cfg.engine = engine;
+    cfg.refine = false;
+    let want = run(scenario, &cfg).pairs;
+    assert_eq!(
+        sorted(want.clone()),
+        sorted(oracle.to_vec()),
+        "{engine:?}: diverged from oracle"
+    );
+    want
+}
+
+/// Engine × threads × assignment × workload: the full matrix must be
+/// byte-identical to each engine's reference with a clean morsel ledger.
+/// Covers both a roughly uniform workload and a clustered one whose skew
+/// forces uneven morsel costs.
 #[test]
 fn stress_matrix_is_byte_identical_with_exact_morsel_accounting() {
     let workloads = [
@@ -60,19 +93,24 @@ fn stress_matrix_is_byte_identical_with_exact_morsel_accounting() {
     for scenario in &workloads {
         let oracle = join_candidates(&scenario.a, &scenario.b).candidates;
         assert!(!oracle.is_empty(), "degenerate workload");
-        for assignment in [
-            Assignment::Dynamic,
-            Assignment::StaticRange,
-            Assignment::StaticRoundRobin,
-        ] {
-            for threads in [1, 2, 4, 8] {
-                let mut cfg = NativeConfig::new(threads);
-                cfg.assignment = assignment;
-                cfg.refine = false;
-                let res = run(scenario, &cfg);
-                let ctx = format!("{assignment:?} t={threads}");
-                assert_eq!(res.pairs, oracle, "{ctx}: output diverged from oracle");
-                assert_ledger(&res, &ctx);
+        for engine in [JoinEngine::RTree, JoinEngine::Partition] {
+            let want = reference(scenario, engine, &oracle);
+            for assignment in [
+                Assignment::Dynamic,
+                Assignment::StaticRange,
+                Assignment::StaticRoundRobin,
+            ] {
+                for threads in [1, 2, 4, 8] {
+                    let mut cfg = NativeConfig::new(threads);
+                    cfg.assignment = assignment;
+                    cfg.engine = engine;
+                    cfg.refine = false;
+                    let res = run(scenario, &cfg);
+                    let ctx = format!("{engine:?} {assignment:?} t={threads}");
+                    assert_eq!(res.engine, engine, "{ctx}: engine tag");
+                    assert_eq!(res.pairs, want, "{ctx}: output diverged from reference");
+                    assert_ledger(&res, &ctx);
+                }
             }
         }
     }
@@ -168,44 +206,47 @@ fn refined_output_is_byte_identical_across_schedules() {
     }
 }
 
-/// Clean drain under cancellation: a deadline placed anywhere inside the
-/// run must produce either a complete, oracle-identical result or a clean
-/// `Cancelled` error — never a hang, panic, or partial output. After each
-/// cancelled attempt the same inputs must still join to completion.
+/// Clean drain under cancellation, on both engines: a deadline placed
+/// anywhere inside the run must produce either a complete result identical
+/// to the engine's reference or a clean `Cancelled` error — never a hang,
+/// panic, or partial output. After each cancelled attempt the same inputs
+/// must still join to completion.
 #[test]
 fn cancellation_drains_cleanly_at_random_deadlines() {
     let scenario = JoinScenario::paper_maps("stress-cancel", 47, 0.02);
     let oracle = join_candidates(&scenario.a, &scenario.b).candidates;
-    let mut cfg = NativeConfig::new(4);
-    cfg.refine = false;
+    for engine in [JoinEngine::RTree, JoinEngine::Partition] {
+        let want = reference(&scenario, engine, &oracle);
+        let mut cfg = NativeConfig::new(4);
+        cfg.engine = engine;
+        cfg.refine = false;
 
-    // Calibrate: a full run's duration bounds the deadline draw range.
-    let full = run(&scenario, &cfg);
-    assert_eq!(full.pairs, oracle);
-    let budget = full.elapsed.max(Duration::from_millis(1));
+        // Calibrate: a full run's duration bounds the deadline draw range.
+        let full = run(&scenario, &cfg);
+        assert_eq!(full.pairs, want, "{engine:?}");
+        let budget = full.elapsed.max(Duration::from_millis(1));
 
-    let mut cancelled = 0u32;
-    for round in 0..12u64 {
-        // Deadlines spread over [0, ~budget): early draws cancel before
-        // workers spawn, late draws land mid-drain.
-        let frac = (splitmix64(round) % 1000) as f64 / 1000.0;
-        let deadline = Instant::now() + budget.mul_f64(frac);
-        let token = CancelToken::with_deadline(deadline);
-        let ctl = RunControl::default().with_cancel(&token);
-        match try_run_native_join(&scenario.a, &scenario.b, &cfg, &ctl) {
-            Ok(res) => {
-                assert_eq!(res.pairs, oracle, "round {round}: completed run diverged");
-                assert_ledger(&res, &format!("round {round}"));
+        let mut cancelled = 0u32;
+        for round in 0..12u64 {
+            // Deadlines spread over [0, ~budget): early draws cancel before
+            // workers spawn, late draws land mid-drain.
+            let frac = (splitmix64(round) % 1000) as f64 / 1000.0;
+            let deadline = Instant::now() + budget.mul_f64(frac);
+            let token = CancelToken::with_deadline(deadline);
+            let ctl = RunControl::default().with_cancel(&token);
+            let ctx = format!("{engine:?} round {round}");
+            match try_run_join(&scenario.a, &scenario.b, &cfg, &ctl) {
+                Ok(res) => {
+                    assert_eq!(res.pairs, want, "{ctx}: completed run diverged");
+                    assert_ledger(&res, &ctx);
+                }
+                Err(NativeError::Cancelled) => cancelled += 1,
+                Err(e) => panic!("{ctx}: unexpected error {e}"),
             }
-            Err(NativeError::Cancelled) => cancelled += 1,
-            Err(e) => panic!("round {round}: unexpected error {e}"),
+            // The executor must be reusable immediately after a cancellation.
+            let again = run(&scenario, &cfg);
+            assert_eq!(again.pairs, want, "{ctx}: post-cancel run diverged");
         }
-        // The executor must be reusable immediately after a cancellation.
-        let again = run(&scenario, &cfg);
-        assert_eq!(
-            again.pairs, oracle,
-            "round {round}: post-cancel run diverged"
-        );
+        println!("{engine:?}: cancelled {cancelled}/12 attempts");
     }
-    println!("cancelled {cancelled}/12 attempts");
 }
