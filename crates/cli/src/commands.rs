@@ -15,7 +15,7 @@ use psj_rtree::{bulk::bulk_load_str, fsck_file, PagedTree, RTree};
 use psj_serve::{loadgen, Client, ClientError, LoadConfig, Response, ServeConfig, Server};
 use psj_store::{FaultPlan, RetryPolicy};
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,7 +93,9 @@ commands:
            workers re-reading one tree through a shared cache over three
            read paths — locked mutex, Arc-clone optimistic, borrowing
            guard — reporting the seqlock hit shares and the
-           opt-vs-locked / guard-vs-arc wall speedups).
+           opt-vs-locked / guard-vs-arc wall speedups), plus a load row
+           (median time to load both saved trees from disk vs the refined
+           t=1 join of them, as load_over_join).
            speedup_vs_t1 is the *scheduled* speedup: the t=1 run's
            per-morsel wall costs replayed through the deterministic
            scheduler simulation with n virtual workers (machine-
@@ -113,7 +115,8 @@ commands:
            independent); --min-opt-speedup <f> and --min-guard-speedup
            <f> put floors on the contended-read wall ratios (optimistic
            vs locked, guard vs arc — same-process relative cost of the
-           read paths); --min-cluster-scaling <f>
+           read paths); --max-load-over-join <f> puts a ceiling on the
+           candidate's load-vs-join wall ratio; --min-cluster-scaling <f>
            [--cluster <file.json>] puts a floor on bench-cluster's 4-shard
            vs 1-shard throughput ratio (standalone: baseline/candidate may
            be omitted); exits nonzero on any regression
@@ -839,6 +842,41 @@ struct BenchJoinRow {
     evictions: u64,
 }
 
+/// Median of `v` (upper median for even lengths); `v` must be non-empty.
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_unstable_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Saves `trees` to `paths`, then `reps` times loads both with
+/// `PagedTree::load_from` and joins them refined on one thread. Returns
+/// the files' total MiB and the median load and join wall times in ms.
+fn measure_load(
+    trees: [&PagedTree; 2],
+    paths: &[PathBuf; 2],
+    reps: u32,
+) -> Result<(f64, f64, f64), String> {
+    let mut file_bytes = 0u64;
+    for (tree, path) in trees.iter().zip(paths) {
+        tree.save_to(path).map_err(io_err)?;
+        file_bytes += std::fs::metadata(path).map_err(io_err)?.len();
+    }
+    let cfg = NativeConfig::new(1);
+    let (mut load_ms, mut join_ms) = (Vec::new(), Vec::new());
+    for _ in 0..reps.max(1) {
+        let t0 = Instant::now();
+        let a = PagedTree::load_from(&paths[0]).map_err(io_err)?;
+        let b = PagedTree::load_from(&paths[1]).map_err(io_err)?;
+        load_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        join_ms.push(run_join(&a, &b, &cfg).elapsed.as_secs_f64() * 1e3);
+    }
+    Ok((
+        file_bytes as f64 / (1 << 20) as f64,
+        median(&mut load_ms),
+        median(&mut join_ms),
+    ))
+}
+
 /// `psj bench-join` — in-process join benchmark. Times the sweep kernel
 /// (pre-change scalar path with its per-call MBR copy vs. the SoA chunked
 /// path) over the real node-pair stream of a join, then runs a matrix of
@@ -1415,6 +1453,27 @@ pub fn bench_join(args: &Args) -> CmdResult {
          engine (t={top}, index build counted, >1 = partition faster)"
     );
 
+    // --- Load vs join ------------------------------------------------------
+    // Both trees saved, then opened with `PagedTree::load_from` (read, page
+    // CRCs, trailer hash, decode, verify) and joined refined on one thread,
+    // as `psj join` does from disk. Medians over `reps` runs; the gated
+    // `load_over_join` is a same-process ratio, so it tracks what opening
+    // a tree costs next to the join it feeds rather than the machine.
+    let load_dir = std::env::temp_dir().join(format!("psj-bench-load-{}", std::process::id()));
+    std::fs::create_dir_all(&load_dir).map_err(io_err)?;
+    let measured = measure_load(
+        [&a, &b],
+        &[load_dir.join("a.psjt"), load_dir.join("b.psjt")],
+        reps,
+    );
+    std::fs::remove_dir_all(&load_dir).ok();
+    let (file_mb, load_ms, load_join_ms) = measured?;
+    let load_over_join = load_ms / load_join_ms;
+    println!(
+        "load: {file_mb:.2} MiB in {load_ms:.2} ms, refined t=1 join {load_join_ms:.2} ms, \
+         load/join {load_over_join:.2}"
+    );
+
     // --- Report -----------------------------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
@@ -1482,6 +1541,12 @@ pub fn bench_join(args: &Args) -> CmdResult {
         "    \"guard_speedup_vs_arc\": {:.4}\n",
         contended.guard_speedup_vs_arc
     ));
+    json.push_str("  },\n");
+    json.push_str("  \"load\": {\n");
+    json.push_str(&format!("    \"file_mb\": {file_mb:.3},\n"));
+    json.push_str(&format!("    \"load_ms\": {load_ms:.3},\n"));
+    json.push_str(&format!("    \"join_ms\": {load_join_ms:.3},\n"));
+    json.push_str(&format!("    \"load_over_join\": {load_over_join:.4}\n"));
     json.push_str("  },\n");
     json.push_str("  \"joins\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -1744,6 +1809,23 @@ pub fn bench_check(args: &Args) -> CmdResult {
                     "{candidate_path}: no {key} in report (re-run bench-join)"
                 )),
             }
+        }
+    }
+
+    // Absolute ceiling on opening the trees from disk relative to joining
+    // them: both sides are medians from one process on one machine.
+    if let Some(ceil) = args.get("max-load-over-join") {
+        let ceil: f64 = ceil
+            .parse()
+            .map_err(|_| format!("--max-load-over-join '{ceil}' is not a number"))?;
+        match json_number_after(&candidate, "load_over_join", 0).map(|(v, _)| v) {
+            Some(v) if v <= ceil => {
+                println!("load: load/join {v:.3} within ceiling {ceil:.3}");
+            }
+            Some(v) => failures.push(format!("load/join above ceiling: {v:.3} > {ceil:.3}")),
+            None => failures.push(format!(
+                "{candidate_path}: no load_over_join in report (re-run bench-join)"
+            )),
         }
     }
 

@@ -2,28 +2,37 @@
 //!
 //! A [`PagedTree`] serializes to a single file: a fixed header, the page
 //! *records* (each 4 KB payload followed by its 16-byte CRC32 footer, see
-//! [`psj_store::checksum`]), and the geometry clusters, the whole file
-//! additionally protected by an FNV-1a checksum. Buffered I/O throughout;
-//! loading re-decodes every node from its page bytes (the same code path
-//! the in-memory freeze uses), so a loaded tree is verified against its
-//! page images by construction.
+//! [`psj_store::checksum`]), the geometry clusters, and an FNV-1a trailer.
+//! Buffered I/O throughout, one record at a time (the file is never held
+//! whole in memory); loading re-decodes every node from its page bytes
+//! (the same code path the in-memory freeze uses), so a loaded tree is
+//! verified against its page images by construction.
 //!
 //! ```text
-//! +------------------+ magic "PSJT2\n", root u32, height u32,
+//! +------------------+ magic "PSJT3\n", root u32, height u32,       [FNV]
 //! | header           | num_items u64, num_pages u32, num_clusters u32
 //! +------------------+
-//! | page records     | num_pages × 4112 bytes (payload + CRC footer)
+//! | page records     | num_pages × 4112 bytes:
+//! |                  |   4096-byte payload                     [CRC]
+//! |                  |   16-byte footer (CRC of payload+id)    [FNV]
 //! +------------------+
-//! | clusters         | per cluster: page u32, extra_bytes u64,
+//! | clusters         | per cluster: page u32, extra_bytes u64,     [FNV]
 //! |                  |   count u32, then per geometry:
 //! |                  |   vertex count u32 + count × (f64, f64)
 //! +------------------+
-//! | checksum         | FNV-1a 64 over everything above
+//! | checksum         | FNV-1a 64 over the [FNV] bytes above
 //! +------------------+
 //! ```
 //!
-//! Files written by the previous format (`PSJT1`, raw unchecksummed pages)
-//! are still readable; new files are always `PSJT2`.
+//! The trailer hashes the header, every page footer and the cluster
+//! section, but not the page payloads: each footer's CRC already binds its
+//! payload, page id and format version, so the trailer still binds every
+//! byte of the file, transitively, without hashing 4 KB per page twice.
+//!
+//! Older files stay readable. `PSJT2` has the same layout but its trailer
+//! hashes every byte before it, payloads included; `PSJT1` has raw pages
+//! without footers and a full-file trailer. The magic alone selects what
+//! the trailer covers; new files are always `PSJT3`.
 //!
 //! **Crash safety.** [`PagedTree::save_to`] writes through
 //! [`psj_store::atomic_write`] (tmp file + fsync + atomic rename + dir
@@ -53,6 +62,7 @@ use std::path::{Path, PathBuf};
 
 const MAGIC_V1: &[u8; 6] = b"PSJT1\n";
 const MAGIC_V2: &[u8; 6] = b"PSJT2\n";
+const MAGIC_V3: &[u8; 6] = b"PSJT3\n";
 
 /// Sanity bound on the page count in a header (16 M pages = 64 GB of
 /// payload); a corrupt header must not drive allocation.
@@ -94,6 +104,11 @@ impl<W: Write> HashWriter<W> {
     fn f64(&mut self, v: f64) -> io::Result<()> {
         self.write_all_hashed(&v.to_le_bytes())
     }
+    /// Writes a page record, hashing only its footer (`PSJT3`).
+    fn write_record(&mut self, record: &[u8; PAGE_RECORD_SIZE]) -> io::Result<()> {
+        self.hash.update(&record[PAGE_SIZE..]);
+        self.inner.write_all(record)
+    }
 }
 
 /// Reader that checksums everything it passes through.
@@ -123,6 +138,18 @@ impl<R: Read> HashReader<R> {
         self.read_exact_hashed(&mut b)?;
         Ok(f64::from_le_bytes(b))
     }
+    /// Reads a page record, hashing its payload only when `hash_payloads`
+    /// (`PSJT2`); otherwise only the footer, whose CRC binds the payload.
+    fn read_record(
+        &mut self,
+        record: &mut [u8; PAGE_RECORD_SIZE],
+        hash_payloads: bool,
+    ) -> io::Result<()> {
+        self.inner.read_exact(record)?;
+        let start = if hash_payloads { 0 } else { PAGE_SIZE };
+        self.hash.update(&record[start..]);
+        Ok(())
+    }
 }
 
 fn corrupt(msg: &str) -> io::Error {
@@ -137,8 +164,10 @@ pub struct LenientLoad {
     pub tree: PagedTree,
     /// Pages whose CRC footer failed verification, ascending.
     pub corrupt_pages: Vec<PageId>,
-    /// Whether the whole-file FNV checksum matched (false whenever any page
-    /// is corrupt, and also on cluster-section damage).
+    /// Whether the file checksum held: the FNV trailer matched *and* no
+    /// page is corrupt. False whenever any page is corrupt (a `PSJT3`
+    /// trailer covers payloads only through their footer CRCs), and also
+    /// on header, footer or cluster-section damage.
     pub checksum_ok: bool,
     /// Whether the geometry cluster section parsed (joins need it; window
     /// and nearest-neighbor queries do not).
@@ -234,8 +263,8 @@ fn read_trailer<R: Read>(r: &mut HashReader<R>) -> io::Result<()> {
 }
 
 /// Parse a tree file. In strict mode any page-footer failure aborts the
-/// load; in lenient mode (v2 only) failed pages become placeholders and
-/// cluster/checksum damage is recorded instead of fatal.
+/// load; in lenient mode (v2 and v3 only) failed pages become placeholders
+/// and cluster/checksum damage is recorded instead of fatal.
 fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
     let context = path.display().to_string();
     let file = std::fs::File::open(path)
@@ -247,9 +276,11 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
 
     let mut magic = [0u8; 6];
     r.read_exact_hashed(&mut magic)?;
-    let v2 = match &magic {
-        m if m == MAGIC_V2 => true,
-        m if m == MAGIC_V1 => false,
+    // Per format: (records carry CRC footers, trailer hashes payloads).
+    let (footers, hash_payloads) = match &magic {
+        m if m == MAGIC_V3 => (true, false),
+        m if m == MAGIC_V2 => (true, true),
+        m if m == MAGIC_V1 => (false, true),
         _ => {
             return Err(corrupt(&format!(
                 "{context}: bad magic: not a psj tree file"
@@ -261,13 +292,12 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
     let mut pages = PageStore::new();
     let mut nodes = Vec::with_capacity(num_pages);
     let mut corrupt_pages = Vec::new();
-    if v2 {
-        let mut record = vec![0u8; PAGE_RECORD_SIZE];
+    if footers {
+        let mut record = Box::new([0u8; PAGE_RECORD_SIZE]);
         for n in 0..num_pages {
-            r.read_exact_hashed(&mut record)?;
+            r.read_record(&mut record, hash_payloads)?;
             let id = pages.allocate();
-            let fixed: &[u8; PAGE_RECORD_SIZE] = record[..].try_into().unwrap();
-            match verify_record(fixed, PageId(n as u32), &context) {
+            match verify_record(&record, PageId(n as u32), &context) {
                 Ok(()) => {
                     pages
                         .write(id)
@@ -296,7 +326,7 @@ fn read_tree_file(path: &Path, lenient: bool) -> io::Result<RawLoad> {
     let (clusters, clusters_ok, checksum_ok) = if lenient {
         match read_clusters(&mut r, num_pages, num_clusters) {
             Ok(c) => {
-                let checksum_ok = read_trailer(&mut r).is_ok();
+                let checksum_ok = read_trailer(&mut r).is_ok() && corrupt_pages.is_empty();
                 (c, true, checksum_ok)
             }
             // Cluster section unparseable: salvage the index structure
@@ -333,7 +363,7 @@ impl PagedTree {
                 hash: Fnv::new(),
             };
 
-            w.write_all_hashed(MAGIC_V2)?;
+            w.write_all_hashed(MAGIC_V3)?;
             w.u32(self.root().0)?;
             w.u32(self.height())?;
             w.u64(self.len())?;
@@ -348,7 +378,7 @@ impl PagedTree {
             w.u32(cluster_pages.len() as u32)?;
 
             for (id, page) in self.pages().iter() {
-                w.write_all_hashed(&encode_record(page.bytes(), id))?;
+                w.write_record(&encode_record(page.bytes(), id))?;
             }
 
             for pid in cluster_pages {
@@ -397,10 +427,11 @@ impl PagedTree {
         Ok(tree)
     }
 
-    /// Loads a (possibly damaged) `PSJT2` tree, salvaging what verifies:
-    /// pages with failed CRC footers become poisoned placeholders, a
-    /// damaged cluster section yields an index without geometry, and the
-    /// whole-file checksum result is reported rather than enforced.
+    /// Loads a (possibly damaged) `PSJT3` or `PSJT2` tree, salvaging what
+    /// verifies: pages with failed CRC footers become poisoned
+    /// placeholders, a damaged cluster section yields an index without
+    /// geometry, and the file checksum result is reported rather than
+    /// enforced.
     ///
     /// Fails only if the header is unusable or the *surviving* structure is
     /// inconsistent. A clean file loads with no poisoned pages and
@@ -612,7 +643,7 @@ impl PagedTree {
 pub struct FsckReport {
     /// The file actually scanned.
     pub path: String,
-    /// Tree format version (1 or 2), when the magic was readable.
+    /// Tree format version (1, 2 or 3), when the magic was readable.
     pub format: Option<u32>,
     /// Manifest generation, when `path` (or its base) has a manifest.
     pub manifest_generation: Option<u64>,
@@ -621,7 +652,8 @@ pub struct FsckReport {
     /// Pages whose CRC footer failed (always empty for v1 files, which
     /// have no per-page checksums).
     pub corrupt_pages: Vec<u32>,
-    /// Whether the whole-file checksum matched.
+    /// Whether the file checksum held: the FNV trailer matched and no page
+    /// is corrupt (see [`LenientLoad::checksum_ok`]).
     pub file_checksum_ok: bool,
     /// Whether the (surviving) structure verified.
     pub structure_ok: bool,
@@ -665,8 +697,8 @@ impl FsckReport {
     }
 }
 
-/// Scans an index file, verifying every page checksum, the whole-file
-/// checksum, and the structure. `path` may be either a tree file or an
+/// Scans an index file, verifying every page checksum, the file checksum,
+/// and the structure. `path` may be either a tree file or an
 /// index *base* whose manifest names the current generation.
 pub fn fsck_file(path: &Path) -> FsckReport {
     let mut report = FsckReport {
@@ -704,6 +736,7 @@ pub fn fsck_file(path: &Path) -> FsckReport {
             let mut magic = [0u8; 6];
             if f.read_exact(&mut magic).is_ok() {
                 report.format = match &magic {
+                    m if m == MAGIC_V3 => Some(3),
                     m if m == MAGIC_V2 => Some(2),
                     m if m == MAGIC_V1 => Some(1),
                     _ => None,
@@ -717,7 +750,7 @@ pub fn fsck_file(path: &Path) -> FsckReport {
     }
 
     match report.format {
-        Some(2) => match read_tree_file(&target, true) {
+        Some(2 | 3) => match read_tree_file(&target, true) {
             Ok(raw) => {
                 report.pages_scanned = raw.nodes.len() as u64;
                 report.corrupt_pages = raw.corrupt_pages.iter().map(|p| p.0).collect();
@@ -787,6 +820,108 @@ mod tests {
     fn record_offset(n: usize) -> usize {
         // magic 6 + root 4 + height 4 + items 8 + pages 4 + clusters 4
         30 + n * PAGE_RECORD_SIZE
+    }
+
+    /// Rewrites a `PSJT3` file as the `PSJT2` file of the same tree: the
+    /// same bytes under the old magic, with the trailer recomputed over
+    /// everything before it, payloads included.
+    fn as_psjt2(v3: &[u8]) -> Vec<u8> {
+        assert_eq!(&v3[..6], MAGIC_V3);
+        let mut v2 = v3[..v3.len() - 8].to_vec();
+        v2[..6].copy_from_slice(MAGIC_V2);
+        let mut hash = Fnv::new();
+        hash.update(&v2);
+        v2.extend_from_slice(&hash.0.to_le_bytes());
+        v2
+    }
+
+    #[test]
+    fn psjt2_file_still_loads_and_equals_psjt3_load() {
+        let tree = sample_tree(400);
+        let path = tmpfile("psjt2");
+        tree.save_to(&path).unwrap();
+        let v3 = PagedTree::load_from(&path).unwrap();
+        let v2_bytes = as_psjt2(&std::fs::read(&path).unwrap());
+        std::fs::write(&path, &v2_bytes).unwrap();
+        let v2 = PagedTree::load_from(&path).unwrap();
+        let lenient = PagedTree::load_from_lenient(&path).unwrap();
+        let report = fsck_file(&path);
+        std::fs::remove_file(&path).ok();
+
+        assert_eq!(v2.root(), v3.root());
+        assert_eq!(v2.height(), v3.height());
+        assert_eq!(v2.len(), v3.len());
+        assert_eq!(v2.stats(), v3.stats());
+        for (id, page) in v3.pages().iter() {
+            assert_eq!(v2.pages().read(id).bytes(), page.bytes(), "{id}");
+            assert_eq!(v2.clusters().bytes_of(id), v3.clusters().bytes_of(id));
+        }
+        let w = Rect::new(3.0, 2.0, 17.0, 9.0);
+        let a: Vec<u64> = v3.window_query(&w).iter().map(|e| e.oid).collect();
+        let b: Vec<u64> = v2.window_query(&w).iter().map(|e| e.oid).collect();
+        assert_eq!(a, b);
+        assert!(lenient.checksum_ok && lenient.corrupt_pages.is_empty());
+        assert!(report.ok(), "{}", report.to_json());
+        assert_eq!(report.format, Some(2));
+    }
+
+    #[test]
+    fn rewritten_page_with_fresh_footer_fails_trailer() {
+        // A page rewritten with a self-consistent footer passes its CRC.
+        // The v2 trailer hashes the payload itself; the v3 trailer only
+        // sees the footer, whose CRC changed with the payload.
+        let tree = sample_tree(200);
+        let path = tmpfile("rewritten-page");
+        tree.save_to(&path).unwrap();
+        let v3 = std::fs::read(&path).unwrap();
+        for mut bytes in [as_psjt2(&v3), v3] {
+            let at = record_offset(1);
+            bytes[at + 100] ^= 0x01;
+            let payload: [u8; PAGE_SIZE] = bytes[at..at + PAGE_SIZE].try_into().unwrap();
+            bytes[at..at + PAGE_RECORD_SIZE].copy_from_slice(&encode_record(&payload, PageId(1)));
+            std::fs::write(&path, &bytes).unwrap();
+            let err = PagedTree::load_from(&path).unwrap_err();
+            assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn flipped_cluster_byte_fails_checksum() {
+        let tree = sample_tree(300);
+        let path = tmpfile("cluster-flip");
+        tree.save_to(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The cluster section follows the last record: page u32, extra
+        // u64, count u32, vertex count u32, then the low byte of the first
+        // x, so the section still parses.
+        bytes[record_offset(tree.num_pages()) + 20] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = PagedTree::load_from(&path).unwrap_err();
+        let lenient = PagedTree::load_from_lenient(&path).unwrap();
+        let report = fsck_file(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        assert!(!lenient.checksum_ok);
+        assert!(lenient.clusters_ok);
+        assert!(lenient.corrupt_pages.is_empty());
+        assert!(!report.file_checksum_ok && !report.ok());
+    }
+
+    #[test]
+    fn flipped_header_byte_fails_strict_load() {
+        let tree = sample_tree(300);
+        let path = tmpfile("header-flip");
+        tree.save_to(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // num_items: magic 6 + root 4 + height 4.
+        bytes[14] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = PagedTree::load_from(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
     }
 
     #[test]
@@ -976,7 +1111,7 @@ mod tests {
         let report = fsck_file(&path);
         std::fs::remove_file(&path).ok();
         assert!(report.ok(), "{}", report.to_json());
-        assert_eq!(report.format, Some(2));
+        assert_eq!(report.format, Some(3));
         assert_eq!(report.pages_scanned, tree.num_pages() as u64);
         assert!(report.corrupt_pages.is_empty());
         let json = report.to_json();

@@ -16,6 +16,14 @@
 //! The CRC covers the id and version in addition to the payload, so a footer
 //! copied from another page fails verification even when its own CRC is
 //! internally consistent.
+//!
+//! **Kernel.** The CRC is CRC-32/IEEE (reflected, the zlib/Ethernet CRC),
+//! computed by slicing-by-8: eight 256-entry tables, built by a `const fn`
+//! at compile time, advance the state by one 8-byte word per step, with a
+//! bytewise tail. Its output is bit-identical to the classic one-table
+//! bytewise loop, so every record ever written still verifies; it runs
+//! several times faster, which matters because loading a tree checks the
+//! CRC of every page it holds.
 
 use crate::error::PageError;
 use crate::page::{PageId, PAGE_SIZE};
@@ -29,25 +37,43 @@ pub const PAGE_FORMAT_VERSION: u16 = 1;
 /// Magic bytes terminating every footer.
 pub const FOOTER_MAGIC: [u8; 6] = *b"PSJPF1";
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) lookup table, built at first use.
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
+/// CRC-32/IEEE generator polynomial, reflected.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `TABLES[0]` is the classic bytewise table, and
+/// `TABLES[k][b]` is the CRC state after byte `b` followed by `k` zero
+/// bytes, so one lookup per byte of an 8-byte word advances the state by
+/// the whole word. Built at compile time.
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC32 (IEEE) of `data`.
@@ -55,10 +81,25 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
+/// Advances the (pre-inverted) CRC state over `data`: eight bytes per step
+/// through the slicing tables, then the tail byte by byte.
 fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
-    let table = crc_table();
-    for &b in data {
-        state = (state >> 8) ^ table[((state ^ b as u32) & 0xFF) as usize];
+    let t = &TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ state;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ b as u32) & 0xFF) as usize];
     }
     state
 }
@@ -140,6 +181,70 @@ pub fn verify_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The classic one-table bytewise CRC32 the slicing kernel replaces,
+    /// with its table built here rather than taken from `TABLES`.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let mut crc = i as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
+            }
+            *slot = crc;
+        }
+        let mut state = 0xFFFF_FFFFu32;
+        for &b in data {
+            state = (state >> 8) ^ table[((state ^ b as u32) & 0xFF) as usize];
+        }
+        state ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn slicing_matches_bytewise_at_every_length_and_alignment() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 167 + 13) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        let mut payload = [0u8; PAGE_SIZE];
+        for (i, b) in payload.iter_mut().enumerate() {
+            *b = (i * 31 + 7) as u8;
+        }
+        let record = encode_record(&payload, PageId(9));
+        assert_eq!(crc32(&record), crc32_bytewise(&record));
+    }
+
+    #[test]
+    fn footer_bytes_are_pinned() {
+        // The on-disk footer of a fixed page: any drift in the CRC kernel
+        // or the footer layout would make existing files unreadable.
+        let mut payload = [0u8; PAGE_SIZE];
+        for (i, b) in payload.iter_mut().enumerate() {
+            *b = (i * 31 + 7) as u8;
+        }
+        let record = encode_record(&payload, PageId(42));
+        assert_eq!(record[..PAGE_SIZE], payload[..]);
+        assert_eq!(
+            record[PAGE_SIZE..],
+            [
+                0x72, 0x6C, 0x56, 0x07, 0x2A, 0x00, 0x00, 0x00, 0x01, 0x00, 0x50, 0x53, 0x4A, 0x50,
+                0x46, 0x31
+            ]
+        );
+        assert_eq!(page_footer(&payload, PageId(42)), record[PAGE_SIZE..]);
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+    }
 
     #[test]
     fn crc32_known_vector() {

@@ -36,6 +36,12 @@ MIN_OPT_SHARE="${BENCH_MIN_OPT_SHARE:-0.9}"
 # guard halves the contended atomic RMWs per hit).
 MIN_OPT_SPEEDUP="${BENCH_MIN_OPT_SPEEDUP:-1.1}"
 MIN_GUARD_SPEEDUP="${BENCH_MIN_GUARD_SPEEDUP:-1.15}"
+# Opening both saved trees from disk (page CRCs, trailer hash, decode,
+# verify) against the refined one-thread join of them, medians from one
+# process. The quick matrix measures ~3.0 on the baseline host (the
+# committed full-scale baseline: 2.3); with the bytewise page CRC and a
+# full-file trailer hash it measured 6-7. 4.5 leaves headroom for noise.
+MAX_LOAD_OVER_JOIN="${BENCH_MAX_LOAD_OVER_JOIN:-4.5}"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
@@ -47,10 +53,11 @@ echo "== bench-join (quick) =="
 "$PSJ" bench-join --quick --seed 1996 --out "$WORK/candidate.json" \
   | tee "$WORK/bench.log"
 
-echo "== bench-check vs $BASELINE (tolerance $TOLERANCE, t4 floor $MIN_T4, partition floor $MIN_PARTITION, opt-share floor $MIN_OPT_SHARE, opt-speedup floor $MIN_OPT_SPEEDUP, guard-speedup floor $MIN_GUARD_SPEEDUP) =="
+echo "== bench-check vs $BASELINE (tolerance $TOLERANCE, t4 floor $MIN_T4, partition floor $MIN_PARTITION, opt-share floor $MIN_OPT_SHARE, opt-speedup floor $MIN_OPT_SPEEDUP, guard-speedup floor $MIN_GUARD_SPEEDUP, load/join ceiling $MAX_LOAD_OVER_JOIN) =="
 "$PSJ" bench-check --baseline "$BASELINE" --candidate "$WORK/candidate.json" \
   --tolerance "$TOLERANCE" --min "t4_gd_global=$MIN_T4" --require-steals \
   --min-partition "$MIN_PARTITION" --min-opt-share "$MIN_OPT_SHARE" \
-  --min-opt-speedup "$MIN_OPT_SPEEDUP" --min-guard-speedup "$MIN_GUARD_SPEEDUP"
+  --min-opt-speedup "$MIN_OPT_SPEEDUP" --min-guard-speedup "$MIN_GUARD_SPEEDUP" \
+  --max-load-over-join "$MAX_LOAD_OVER_JOIN"
 
 echo "bench smoke test passed"
